@@ -5,12 +5,14 @@ ego-graph per active temporal node.  This benchmark measures encoder
 throughput (centre temporal nodes per second) on the Figure 6 scalability
 grid for two execution strategies over the *same* sampled ego-graphs:
 
-* **per-node** -- the sequential path: one merged bipartite build + one
-  encoder forward per ego-graph, exactly what a non-batched implementation
-  of Alg. 1/2 does;
-* **batched** -- the padded ego-parallel path: ``pack_ego_batch`` packs a
-  chunk of ego-graphs into padded index tensors + masks and the encoder
-  runs one vectorised forward per chunk (``TGAEEncoder.encode_batch``).
+* **per-node** -- the sequential path: each ego-graph packed on its own
+  and one encoder forward per ego-graph, exactly what a non-batched
+  implementation of Alg. 1/2 does;
+* **batched** -- the padded ego-parallel path: ``pack_ego_batch`` pads a
+  chunk of ego-graphs into index tensors + masks and the encoder runs one
+  vectorised forward per chunk (``TGAEEncoder.encode_batch``).
+
+Both paths pad from the same ``ego_graph_batch`` sample.
 
 Both paths produce numerically identical centre representations (asserted
 here and, with tighter seeding, in ``tests/test_core_batched.py``); the
@@ -25,7 +27,7 @@ import numpy as np
 from repro.core import TGAEEncoder, fast_config
 from repro.datasets import make_scalability_graph, node_scale_sweep
 from repro.autograd import no_grad
-from repro.graph import build_bipartite_batch, ego_graph_batch, pack_ego_batch
+from repro.graph import ego_graph_batch, pack_ego_batch
 
 BASE_NODES = 120
 STEPS = 3
@@ -36,7 +38,10 @@ CHUNK = 32
 def _encode_sequential(encoder, egos):
     with no_grad():
         return np.stack(
-            [encoder.encode_centers(build_bipartite_batch([ego])).numpy()[0] for ego in egos]
+            [
+                encoder.encode_batch(pack_ego_batch(egos, row, row + 1)).numpy()[0]
+                for row in range(len(egos))
+            ]
         )
 
 
@@ -44,7 +49,7 @@ def _encode_batched(encoder, egos):
     outputs = []
     with no_grad():
         for start in range(0, len(egos), CHUNK):
-            packed = pack_ego_batch(egos[start : start + CHUNK])
+            packed = pack_ego_batch(egos, start, min(start + CHUNK, len(egos)))
             outputs.append(encoder.encode_batch(packed).numpy())
     return np.concatenate(outputs, axis=0)
 
@@ -81,7 +86,7 @@ def _run_grid():
             radius=config.radius,
             threshold=config.neighbor_threshold,
             time_window=config.time_window,
-            rng=rng,
+            key=11,
         )
         encoder = TGAEEncoder(graph.num_nodes, graph.num_timestamps, config)
         sequential, seq_rate = _measure(_encode_sequential, encoder, egos)

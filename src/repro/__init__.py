@@ -23,18 +23,21 @@ Sub-packages
 The batched ego-graph encoding pipeline
 ---------------------------------------
 The hot path of both training and Sec. IV-G generation is encoding one
-k-radius ego-graph per active temporal node.  Two computation-graph layouts
-implement it:
+k-radius ego-graph per active temporal node:
 
-* ``repro.graph.pack_ego_batch`` packs a chunk of ego-graphs into a padded
+* ``repro.graph.ego_graph_batch`` samples the ego-graphs of a whole group
+  of centres in one vectorised pass over the incidence CSR; truncation
+  draws are counter-hash words (``repro.rng.counter_hash``), so each
+  ego-graph is a pure function of its centre and a 64-bit key;
+* ``repro.graph.pack_ego_batch`` pads a slice of them into one
   ego-parallel batch (index tensors + masks) and
   ``repro.core.TGAEEncoder.encode_batch`` runs **one** vectorised encoder
-  forward per chunk -- numerically identical to encoding each ego-graph on
-  its own, several times faster, and the default
-  (``TGAEConfig.packed_batches = True``).
-* ``repro.graph.build_bipartite_batch`` merges ego-graphs into the shared
-  k-bipartite graphs of Fig. 4 (cross-ego node deduplication), available
-  via ``TGAEConfig(packed_batches=False)``.
+  forward per slice -- numerically identical to encoding each ego-graph on
+  its own.
+
+``repro.graph.sample_ego_graph`` (one centre at a time) and
+``repro.graph.build_bipartite_batch`` (the merged k-bipartite graphs of
+Fig. 4) remain as reference implementations the tests compare against.
 
 Generation draws every row of a chunk's score matrix in one vectorised
 Gumbel top-k pass (sampling without replacement per temporal node).

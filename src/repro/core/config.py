@@ -63,14 +63,6 @@ class TGAEConfig:
         paper's future-work direction of scaling learning-based simulation
         to very large node universes.  ``0`` (default) keeps the exact dense
         decoder of Alg. 2.
-    packed_batches:
-        When ``True`` (default), training minibatches and Sec. IV-G
-        generation run the encoder over padded ego-parallel batches
-        (:func:`repro.graph.pack_ego_batch`) -- one vectorised forward per
-        batch of temporal nodes, each ego-graph encoded independently
-        exactly as in the per-node path.  When ``False``, the original
-        merged k-bipartite layout (cross-ego node deduplication, Fig. 4) is
-        used instead.
     workers:
         Worker count for the sharded generation engine
         (:mod:`repro.core.parallel`).  ``1`` (default) runs chunks as a
@@ -164,7 +156,6 @@ class TGAEConfig:
     probabilistic: bool = True
     decode_neighbors: bool = True
     candidate_limit: int = 0
-    packed_batches: bool = True
     workers: int = 1
     chunk_size: Optional[int] = None
     parallel_backend: str = "process"

@@ -3,12 +3,14 @@
 Encoder embeddings at inference time are pure functions of
 ``(model weights, observed graph, config)``: the decoder consumes the
 posterior mean (``sample=False``, no RNG) and — since the inference
-ego-graphs draw their truncation sampling from *named per-centre streams*
-(``(seed, "tgae", "infer-ego", u, t)``, see
+ego-graphs take their truncation draws from a counter hash keyed on
+``(key, centre, level, parent, slot)``, with ``key`` one draw of the named
+stream ``(seed, "tgae", "infer-ego")`` (see
 :meth:`repro.core.sampler.EgoGraphSampler.inference_batch`) — the encoder
-input is too.  This module caches those embeddings across ``generate`` /
-``score_topk`` / ``dense_score_rows`` calls so repeat inference against the
-same fitted model skips the encoder entirely and becomes decode-only.
+input is too, whichever group of centres a tile was sampled with.  This
+module caches those embeddings across ``generate`` / ``score_topk`` /
+``dense_score_rows`` calls so repeat inference against the same fitted
+model skips the encoder entirely and becomes decode-only.
 
 Three design rules make every cache hit *bitwise* equal to a cold encode:
 

@@ -1,10 +1,11 @@
-"""TGAE encoder: stacked temporal graph attention over bipartite batches.
+"""TGAE encoder: stacked temporal graph attention over packed ego-graphs.
 
 Implements Sec. IV-C.  Node input features default to learned node-identity
 embeddings plus a timestamp embedding; ``k`` TGAT layers then push messages
-from the hop-``k`` periphery of the merged ego-graphs down to the centre
-nodes through the k-bipartite computation graphs (Fig. 4), producing one
-hidden vector ``h_{u^t}`` per centre temporal node (Eq. 3).
+from the hop-``k`` periphery of each ego-graph down to its centre through
+the k-bipartite computation graphs (Fig. 4), padded ego-parallel
+(:class:`~repro.graph.PackedEgoBatch`), producing one hidden vector
+``h_{u^t}`` per centre temporal node (Eq. 3).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..autograd import Tensor, checkpoint, is_grad_enabled
-from ..graph.bipartite import BipartiteBatch, PackedEgoBatch
+from ..graph.bipartite import PackedEgoBatch
 from ..nn import (
     Embedding,
     Linear,
@@ -27,7 +28,7 @@ from .config import TGAEConfig
 
 
 class TGAEEncoder(Module):
-    """Encode centre temporal nodes of a :class:`BipartiteBatch`.
+    """Encode centre temporal nodes of a :class:`~repro.graph.PackedEgoBatch`.
 
     Parameters
     ----------
@@ -198,41 +199,16 @@ class TGAEEncoder(Module):
             )
         return self._input_impl(temporal_nodes, *params)
 
-    def forward(self, batch: BipartiteBatch) -> Tensor:
-        """Return hidden vectors for the *centre* nodes, ``(n_centers, hidden)``.
-
-        One TGAT layer is applied per bipartite level, from the outermost
-        (hop ``k``) inward; level nesting guarantees every target also
-        receives its own previous representation through its self-loop edge.
-        """
-        radius = batch.radius
-        # Representations of the outermost level's nodes.
-        current = self._level_input(batch.level_nodes[radius])
-        for level in range(radius, 0, -1):
-            layer = self.layers[radius - level]
-            edges = batch.levels[level - 1]
-            target_nodes = batch.level_nodes[level - 1]
-            target_feats = self._level_input(target_nodes)
-            current = layer(
-                h_src=current,
-                h_dst=target_feats,
-                src_index=edges.src_index,
-                dst_index=edges.dst_index,
-                delta_t=edges.delta_t,
-            )
-        return current
-
-    def encode_centers(self, batch: BipartiteBatch) -> Tensor:
-        """Hidden vectors aligned with the original ego-graph order."""
-        return self.forward(batch).take_rows(batch.center_index)
-
     def encode_batch(self, packed: PackedEgoBatch) -> Tensor:
         """Encode a padded ego-parallel batch in one vectorised forward.
 
         Returns ``(batch, hidden)`` centre representations, one per packed
-        ego-graph, numerically matching a sequential per-ego
-        :meth:`encode_centers` call (each ego-graph stays independent; no
-        cross-ego node merging takes place).
+        ego-graph.  One TGAT layer is applied per bipartite level, from the
+        outermost (hop ``k``) inward; level nesting guarantees every target
+        also receives its own previous representation through its
+        self-loop edge.  Each ego-graph stays independent (no cross-ego
+        node merging), so the result matches packing and encoding every
+        ego-graph on its own.
         """
         radius = packed.radius
         current = self._level_input(packed.level_nodes[radius])

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..base import TemporalGraphGenerator
 from ..errors import GenerationError, GraphFormatError, NotFittedError
-from ..graph.temporal_graph import TemporalGraph
+from ..graph.temporal_graph import TemporalGraph, as_int64_array
 from ..rng import stream
 from .config import TGAEConfig
 from .embed_cache import EmbeddingCache, dirty_temporal_nodes, graph_token
@@ -44,8 +44,11 @@ def _as_edge_arrays(new_edges: EdgeBatch) -> Tuple[np.ndarray, np.ndarray, np.nd
     if isinstance(new_edges, TemporalGraph):
         return new_edges.src, new_edges.dst, new_edges.t
     if isinstance(new_edges, tuple) and len(new_edges) == 3:
-        return tuple(np.asarray(col, dtype=np.int64).reshape(-1) for col in new_edges)
-    array = np.asarray(new_edges, dtype=np.int64)
+        return tuple(
+            as_int64_array(col, name).reshape(-1)
+            for col, name in zip(new_edges, ("src", "dst", "t"))
+        )
+    array = as_int64_array(new_edges, "new_edges")
     if array.ndim != 2 or array.shape[1] != 3:
         raise GraphFormatError(
             "new_edges must be a TemporalGraph, a (src, dst, t) triple of "

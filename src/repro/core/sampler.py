@@ -1,46 +1,50 @@
-"""Training-batch construction: Alg. 1 sampling + Fig. 4 merging + targets.
+"""Ego-graph batches for training and inference: Alg. 1 sampling + packing.
 
-One :class:`TrainingBatch` bundles everything a TGAE optimisation step needs:
-the merged bipartite computation graphs for ``n_s`` degree-weighted centre
+One :class:`TrainingBatch` bundles everything a TGAE optimisation step
+needs: the padded ego-parallel computation graphs of the shard's centre
 nodes and the observed adjacency rows those centres must reconstruct.
+
+Both paths run the batched sampler :func:`repro.graph.ego_graph_batch` and
+pad with :func:`repro.graph.pack_ego_batch`; its truncation draws are
+counter-hash words under one 64-bit key (:mod:`repro.rng`):
+
+* **training** takes the key from one draw of the shard's spawned
+  generator, so shards stay pure functions of their seed child;
+* **inference** takes it from the named stream
+  ``(seed, "tgae", "infer-ego")`` -- once per sampler -- so a temporal
+  node's ego-graph, and hence its encoder embedding, is a pure function of
+  ``(weights, graph, config)``, whichever call, chunk or tile group sampled
+  it.  The inference embedding cache (:mod:`repro.core.embed_cache`) rests
+  on that purity.
+
+:func:`~repro.graph.sample_ego_graph` is re-exported here as the slow
+per-centre oracle of the batched sampler (same key, same draws).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..graph.bipartite import (
-    BipartiteBatch,
-    PackedEgoBatch,
-    build_bipartite_batch,
-    pack_ego_batch,
-)
+from ..graph.bipartite import PackedEgoBatch, pack_ego_batch
 from ..graph.ego_graph import (
-    EgoGraph,
+    EgoBatch,
     ego_graph_batch,
-    sample_ego_graph,
+    sample_ego_graph,  # noqa: F401 -- re-exported per-centre oracle
     sample_initial_nodes,
 )
 from ..graph.temporal_graph import TemporalGraph
-from ..rng import stream
+from ..rng import key_from, stream
 from .config import TGAEConfig
 from .loss import adjacency_target_rows
 
 
 @dataclass
 class TrainingBatch:
-    """One mini-batch: sampled ego-graphs + reconstruction targets.
-
-    The sampled ego-graphs are stored raw; the two computation-graph views
-    are built lazily and cached on first access:
-
-    * :attr:`bipartite` -- the merged/deduplicated k-bipartite layout of
-      Fig. 4 (cross-ego node sharing).
-    * :attr:`packed` -- the padded ego-parallel layout consumed by the
-      vectorised batched hot path.
+    """One mini-batch: packed ego-graphs + reconstruction targets.
 
     ``candidates`` is populated only in sampled-softmax mode
     (``config.candidate_limit > 0``): a ``(batch, C)`` array of node ids the
@@ -49,30 +53,8 @@ class TrainingBatch:
 
     centers: np.ndarray
     target_rows: List[np.ndarray]
-    egos: List[EgoGraph] = field(default_factory=list)
+    packed: PackedEgoBatch
     candidates: Optional[np.ndarray] = None
-    _bipartite: Optional[BipartiteBatch] = field(default=None, repr=False)
-    _packed: Optional[PackedEgoBatch] = field(default=None, repr=False)
-
-    @property
-    def bipartite(self) -> BipartiteBatch:
-        """Merged k-bipartite view (built on first access)."""
-        if self._bipartite is None:
-            self._bipartite = build_bipartite_batch(self.egos)
-        return self._bipartite
-
-    @property
-    def packed(self) -> PackedEgoBatch:
-        """Padded ego-parallel view (built on first access)."""
-        if self._packed is None:
-            self._packed = pack_ego_batch(self.egos)
-        return self._packed
-
-    def computation_batch(
-        self, packed: bool = True
-    ) -> Union[BipartiteBatch, PackedEgoBatch]:
-        """The computation-graph view selected by ``packed``."""
-        return self.packed if packed else self.bipartite
 
 
 class EgoGraphSampler:
@@ -86,10 +68,10 @@ class EgoGraphSampler:
         TGAE hyper-parameters (radius, threshold, window, ``n_s`` and the
         TGAE-n uniform-sampling switch).
     rng:
-        Random generator driving initial-node and *training* neighbour
-        sampling.  May be ``None`` for inference-only samplers:
-        :meth:`inference_batch` draws from named per-centre streams and
-        never consumes it.
+        Random generator driving initial-node sampling, the training
+        truncation key and candidate negatives.  May be ``None`` for
+        inference-only samplers: :meth:`inference_batch` keys its draws on
+        a named stream and never consumes it.
     """
 
     def __init__(
@@ -101,6 +83,17 @@ class EgoGraphSampler:
         self.graph = graph
         self.config = config
         self.rng = rng
+
+    def _sample(self, centers: np.ndarray, key: int) -> EgoBatch:
+        config = self.config
+        return ego_graph_batch(
+            self.graph,
+            centers,
+            radius=config.radius,
+            threshold=config.neighbor_threshold,
+            time_window=config.time_window,
+            key=key,
+        )
 
     def sample_centers(self, count: int) -> np.ndarray:
         """Draw centre temporal nodes per Eq. 2 (or uniformly for TGAE-n)."""
@@ -114,23 +107,16 @@ class EgoGraphSampler:
     def batch_for_centers(
         self, centers: np.ndarray, target_rows: Optional[List[np.ndarray]] = None
     ) -> TrainingBatch:
-        """Build the training batch (ego-graphs + targets) for explicit centres.
+        """Build the training batch (packed ego-graphs + targets) for explicit centres.
 
-        The computation-graph views (merged bipartite / padded packed) are
-        materialised lazily by :class:`TrainingBatch`, so callers only pay
-        for the layout they actually consume.  ``target_rows`` may carry
-        precomputed adjacency rows for the centres (the sharded trainer
-        computes them once for the whole epoch batch); ``None`` derives them
-        here.
+        Draws the truncation key from :attr:`rng` first, then (in
+        sampled-softmax mode) the candidate negatives.  ``target_rows`` may
+        carry precomputed adjacency rows for the centres (the sharded
+        trainer computes them once for the whole epoch batch); ``None``
+        derives them here.
         """
-        egos = ego_graph_batch(
-            self.graph,
-            centers,
-            radius=self.config.radius,
-            threshold=self.config.neighbor_threshold,
-            time_window=self.config.time_window,
-            rng=self.rng,
-        )
+        centers = np.asarray(centers, dtype=np.int64)
+        packed = pack_ego_batch(self._sample(centers, key_from(self.rng)))
         targets = (
             list(target_rows)
             if target_rows is not None
@@ -142,8 +128,7 @@ class EgoGraphSampler:
         if self.config.candidate_limit > 0:
             candidates = self.build_candidates(centers, targets)
         return TrainingBatch(
-            centers=centers, target_rows=targets, egos=egos,
-            candidates=candidates,
+            centers=centers, target_rows=targets, packed=packed, candidates=candidates
         )
 
     def build_candidates(
@@ -169,37 +154,33 @@ class EgoGraphSampler:
             out[row, positives.size :] = negatives
         return out
 
-    def inference_batch(self, centers: np.ndarray) -> TrainingBatch:
-        """Ego-graph batch for explicit centres, without training targets.
+    @cached_property
+    def inference_key(self) -> int:
+        """Truncation key of inference ego-graphs (one named-stream draw)."""
+        return key_from(stream(self.config.seed, "tgae", "infer-ego"))
 
-        Generation and score inspection only need the computation graphs, so
-        this skips the adjacency-row and training-candidate assembly that
-        :meth:`batch_for_centers` performs (the generation engine builds its
-        own inference candidate sets from the partner CSR).
+    def inference_batch(
+        self, centers: np.ndarray, bounds: Optional[Sequence[int]] = None
+    ) -> Iterator[PackedEgoBatch]:
+        """Packed inference ego-graphs of ``centers``, one batch per slice.
 
-        Unlike training sampling, each centre's truncation draws come from
-        its own *named* stream ``(seed, "tgae", "infer-ego", u, t)`` rather
-        than from :attr:`rng` (which is not consumed): the inference
-        ego-graph of a temporal node — and hence its encoder embedding —
-        is a pure function of ``(weights, graph, config)``, independent of
-        which call, chunk or batch requested it.  That purity is what the
-        inference embedding cache (:mod:`repro.core.embed_cache`) and its
-        canonical encode tiles rest on.
+        The centres are sampled together in one batched pass; ``bounds``
+        (``0 = b_0 < b_1 < ... = len(centers)``) cuts them into consecutive
+        slices that are padded separately -- the engine passes its canonical
+        encode tiles, so each tile's shapes depend on the tile alone.
+        ``None`` packs everything as one batch.  Slices are padded lazily,
+        as the returned iterator is consumed, so only one padded slice need
+        be alive at a time.  No training targets or candidates are built,
+        and :attr:`rng` is not consumed.
         """
         centers = np.asarray(centers, dtype=np.int64)
-        config = self.config
-        egos = [
-            sample_ego_graph(
-                self.graph,
-                (int(node), int(timestamp)),
-                radius=config.radius,
-                threshold=config.neighbor_threshold,
-                time_window=config.time_window,
-                rng=stream(config.seed, "tgae", "infer-ego", int(node), int(timestamp)),
-            )
-            for node, timestamp in centers
-        ]
-        return TrainingBatch(centers=centers, target_rows=[], egos=egos)
+        if bounds is None:
+            bounds = (0, centers.shape[0])
+        egos = self._sample(centers, self.inference_key)
+        return (
+            pack_ego_batch(egos, start, stop)
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        )
 
     def next_batch(self) -> TrainingBatch:
         """Sample a fresh training batch of ``n_s`` centres."""

@@ -168,9 +168,8 @@ def run_train_shard(engine, task: TrainShardTask) -> TrainShardResult:
     rng = np.random.default_rng(task.seed_seq)
     sampler = EgoGraphSampler(engine.graph, config, rng)
     batch = sampler.batch_for_centers(task.centers, target_rows=list(task.target_rows))
-    computation = batch.computation_batch(config.packed_batches)
     decoded = model(
-        computation, sample=True, candidates=batch.candidates, noise_rng=rng
+        batch.packed, sample=True, candidates=batch.candidates, noise_rng=rng
     )
     loss = tgae_shard_loss(
         decoded,

@@ -9,6 +9,7 @@ from .bipartite import (
     pack_ego_batch,
 )
 from .ego_graph import (
+    EgoBatch,
     EgoGraph,
     ego_graph_batch,
     initial_node_probabilities,
@@ -64,6 +65,7 @@ __all__ = [
     "first_order_neighbors",
     "temporal_neighborhood",
     "temporal_degree",
+    "EgoBatch",
     "EgoGraph",
     "sample_ego_graph",
     "sample_neighbors",

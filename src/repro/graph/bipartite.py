@@ -1,17 +1,27 @@
 """k-bipartite computation graphs (Fig. 4 of the paper).
 
-All ego-graphs of a mini-batch are merged, layer by layer, into ``k``
-bipartite graphs.  Level ``l`` connects source temporal nodes at hop ``l``
-to target temporal nodes at hop ``l-1``; the encoder then runs one TGAT
-layer per level, so every target representation in a level is computed
-concurrently -- the GPU-friendly parallel training strategy that reduces the
-number of sequential computation steps from ``O(nT)`` to ``O(nT / n_s)``.
+An ego-graph of radius ``k`` becomes ``k`` bipartite graphs: level ``l``
+connects source temporal nodes at hop ``l`` to target temporal nodes at hop
+``l-1``, and the encoder runs one TGAT layer per level, so every target
+representation in a level is computed concurrently -- the parallel training
+strategy that reduces the number of sequential computation steps from
+``O(nT)`` to ``O(nT / n_s)``.
 
-Two details matter for correctness:
+Two layouts live here:
 
-* **Deduplication** -- a temporal node appearing in several ego-graphs (or
-  several times in one) is stored once per level, so repeated work is
-  eliminated exactly as Sec. IV-C describes.
+* :class:`PackedEgoBatch` (built by :func:`pack_ego_batch`) -- the layout
+  every encoder call consumes.  Each ego-graph keeps its own level tables,
+  padded ego-parallel, so encoding a batch equals encoding each ego-graph
+  alone.
+* :class:`BipartiteBatch` (built by :func:`build_bipartite_batch`) -- the
+  merged layout of Fig. 4, deduplicating temporal nodes *across* ego-graphs.
+  It is kept as the reference the packed sampler's tests canonicalise.
+
+Two details matter for correctness in both:
+
+* **Deduplication** -- a temporal node appearing several times in one
+  ego-graph is stored once per level, so repeated work is eliminated
+  exactly as Sec. IV-C describes.
 * **Self-loops / nesting** -- every level-``l-1`` node is also injected into
   level ``l`` with a zero-offset self-edge ("we added self-loops to all
   temporal nodes to pass messages to themselves"), which guarantees each
@@ -21,12 +31,12 @@ Two details matter for correctness:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import GraphFormatError
-from .ego_graph import EgoGraph
+from .ego_graph import EgoBatch, EgoGraph
 
 TemporalNode = Tuple[int, int]
 
@@ -61,8 +71,8 @@ class PackedEgoBatch:
     neighbours sampled in other egos), a packed batch keeps every ego-graph
     independent: encoding a packed batch is numerically equivalent to
     encoding each ego-graph on its own, just vectorised over the leading
-    batch dimension.  This is the fast path used by training minibatches and
-    the Sec. IV-G score-matrix row construction.
+    batch dimension.  Training minibatches and Sec. IV-G inference both
+    encode this layout.
 
     Attributes
     ----------
@@ -105,94 +115,58 @@ class PackedEgoBatch:
         return self.level_nodes[0][np.arange(self.batch_size), self.center_index]
 
 
-def _pack_single_ego(
-    ego: EgoGraph, key_mod: int
-) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
-    """Nested per-level node tables and edge lists for one ego-graph.
-
-    Replicates the single-ego semantics of :func:`build_bipartite_batch`
-    (within-ego deduplication, level nesting, self-loop edges) with
-    vectorised ``np.unique`` interning instead of per-node dict lookups.
-    """
-    tables: List[np.ndarray] = [ego.layers[0].reshape(1, 2).astype(np.int64)]
-    layer_maps: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    edge_src: List[np.ndarray] = []
-    edge_dst: List[np.ndarray] = []
-    for level in range(1, ego.radius + 1):
-        layer = ego.layers[level].reshape(-1, 2)
-        prev = tables[level - 1]
-        n_layer = layer.shape[0]
-        combined = np.concatenate([layer, prev], axis=0)
-        keys = combined[:, 0] * key_mod + combined[:, 1]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        table = np.stack([unique_keys // key_mod, unique_keys % key_mod], axis=1)
-        layer_map = inverse[:n_layer]
-        nest_map = inverse[n_layer:]
-        edges = ego.edges[level - 1].reshape(-1, 2)
-        sampled_src = layer_map[edges[:, 0]]
-        sampled_dst = layer_maps[level - 1][edges[:, 1]]
-        # Nesting self-loops: every level-(l-1) node receives its own
-        # previous representation through a zero-offset self edge.
-        edge_src.append(np.concatenate([sampled_src, nest_map]))
-        edge_dst.append(
-            np.concatenate([sampled_dst, np.arange(prev.shape[0], dtype=np.int64)])
-        )
-        tables.append(table)
-        layer_maps.append(layer_map)
-    return tables, edge_src, edge_dst
+def _scatter_rows(
+    offsets: np.ndarray, start: int, stop: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(ego, slot)`` padded coordinates of the flat rows of egos ``start:stop``."""
+    counts = np.diff(offsets[start : stop + 1])
+    ego = np.repeat(np.arange(stop - start), counts)
+    slot = np.arange(ego.size) - np.repeat(offsets[start:stop] - offsets[start], counts)
+    return ego, slot, int(counts.max())
 
 
-def pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
-    """Pack ego-graphs into one padded, ego-parallel k-bipartite batch.
+def pack_ego_batch(
+    egos: EgoBatch, start: int = 0, stop: Optional[int] = None
+) -> PackedEgoBatch:
+    """Pad egos ``start:stop`` of a sampled group into one ego-parallel batch.
 
     Each ego-graph keeps its own (deduplicated, nested) node tables; tables
-    and edge lists are right-padded to the batch maximum per level so the
-    encoder can run one vectorised forward over the whole batch.  Encoding
-    the result matches encoding each ego-graph individually, which makes
-    this the exact batched counterpart of the per-node hot path.
+    and edge lists are right-padded to the *slice* maximum per level, so a
+    slice's shapes depend only on the egos in it -- not on the rest of the
+    group it was sampled with.  Encoding the result matches encoding each
+    ego-graph on its own.  The rows are scattered straight from the flat
+    :class:`~repro.graph.ego_graph.EgoBatch` arrays, one fancy-index
+    assignment per level.
     """
-    if not ego_graphs:
-        raise GraphFormatError("cannot pack a batch of zero ego-graphs")
-    radius = ego_graphs[0].radius
-    if any(eg.radius != radius for eg in ego_graphs):
-        raise GraphFormatError("all ego-graphs in a batch must share the same radius")
-    max_time = 0
-    for ego in ego_graphs:
-        for layer in ego.layers:
-            if layer.size:
-                max_time = max(max_time, int(layer[:, 1].max()))
-    key_mod = max_time + 1
-
-    packed = [_pack_single_ego(ego, key_mod) for ego in ego_graphs]
-    batch = len(packed)
-
+    stop = len(egos) if stop is None else stop
+    if not 0 <= start < stop <= len(egos):
+        raise GraphFormatError(
+            f"cannot pack egos [{start}, {stop}) of a batch of {len(egos)}"
+        )
+    batch = stop - start
     level_nodes: List[np.ndarray] = []
     node_mask: List[np.ndarray] = []
-    for level in range(radius + 1):
-        width = max(tables[level].shape[0] for tables, _, _ in packed)
+    for table, offsets in zip(egos.tables, egos.table_offsets):
+        ego, slot, width = _scatter_rows(offsets, start, stop)
         nodes = np.zeros((batch, width, 2), dtype=np.int64)
         mask = np.zeros((batch, width), dtype=bool)
-        for b, (tables, _, _) in enumerate(packed):
-            rows = tables[level].shape[0]
-            nodes[b, :rows] = tables[level]
-            mask[b, :rows] = True
+        nodes[ego, slot] = table[offsets[start] : offsets[stop]]
+        mask[ego, slot] = True
         level_nodes.append(nodes)
         node_mask.append(mask)
 
     levels: List[PackedLevel] = []
-    for level in range(1, radius + 1):
-        width = max(src[level - 1].shape[0] for _, src, _ in packed)
+    for level, offsets in enumerate(egos.edge_offsets, start=1):
+        ego, slot, width = _scatter_rows(offsets, start, stop)
+        rows = slice(offsets[start], offsets[stop])
         src_index = np.zeros((batch, width), dtype=np.int64)
         dst_index = np.zeros((batch, width), dtype=np.int64)
+        delta_t = np.zeros((batch, width), dtype=np.float64)
         edge_mask = np.zeros((batch, width), dtype=bool)
-        for b, (_, src, dst) in enumerate(packed):
-            count = src[level - 1].shape[0]
-            src_index[b, :count] = src[level - 1]
-            dst_index[b, :count] = dst[level - 1]
-            edge_mask[b, :count] = True
-        t_src = np.take_along_axis(level_nodes[level][:, :, 1], src_index, axis=1)
-        t_dst = np.take_along_axis(level_nodes[level - 1][:, :, 1], dst_index, axis=1)
-        delta_t = np.where(edge_mask, (t_dst - t_src).astype(np.float64), 0.0)
+        src_index[ego, slot] = egos.edge_src[level - 1][rows]
+        dst_index[ego, slot] = egos.edge_dst[level - 1][rows]
+        delta_t[ego, slot] = egos.edge_delta[level - 1][rows]
+        edge_mask[ego, slot] = True
         levels.append(
             PackedLevel(
                 src_index=src_index,
@@ -260,7 +234,11 @@ class BipartiteBatch:
 
 
 def build_bipartite_batch(ego_graphs: Sequence[EgoGraph]) -> BipartiteBatch:
-    """Merge ego-graphs into the k-bipartite computation graphs of Fig. 4."""
+    """Merge ego-graphs into the k-bipartite computation graphs of Fig. 4.
+
+    The reference layout: no production path encodes it, and the tests
+    canonicalise its single-ego form to check :func:`pack_ego_batch`.
+    """
     if not ego_graphs:
         raise GraphFormatError("cannot build a bipartite batch from zero ego-graphs")
     radius = ego_graphs[0].radius

@@ -10,6 +10,7 @@ these datasets does before modelling.
 from __future__ import annotations
 
 import os
+from decimal import Decimal, InvalidOperation
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -70,6 +71,36 @@ def load_edge_list(
     )
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_int(field: str, where: str) -> int:
+    """One edge-list field as an exact int64 value.
+
+    Integer literals parse exactly (ids above ``2**53`` stay distinct);
+    decimal or exponent spellings are accepted only when integral
+    (``"3.0"``, ``"1e3"``).  Non-finite, fractional, non-numeric or
+    out-of-int64 fields raise :class:`GraphFormatError` naming ``where``.
+    """
+    try:
+        value = int(field)
+    except ValueError:
+        try:
+            exact = Decimal(field)
+        except InvalidOperation as exc:
+            raise GraphFormatError(f"{where}: non-numeric field {field!r}") from exc
+        if not exact.is_finite():
+            raise GraphFormatError(f"{where}: non-finite field {field!r}") from None
+        if exact != exact.to_integral_value():
+            raise GraphFormatError(f"{where}: non-integral field {field!r}") from None
+        # Bound the exponent before int(): "1e999999999" would otherwise
+        # build a billion-digit integer just to reject it.
+        value = int(exact) if exact.adjusted() < 19 else _INT64_MAX + 1
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise GraphFormatError(f"{where}: field {field!r} does not fit in int64")
+    return value
+
+
 def _read_triples(path: PathLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     srcs, dsts, ts = [], [], []
     with open(path, "r", encoding="utf-8") as handle:
@@ -82,12 +113,10 @@ def _read_triples(path: PathLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 raise GraphFormatError(
                     f"{path!s}:{line_no}: expected 'src dst t', got {line!r}"
                 )
-            try:
-                srcs.append(int(float(parts[0])))
-                dsts.append(int(float(parts[1])))
-                ts.append(int(float(parts[2])))
-            except ValueError as exc:
-                raise GraphFormatError(f"{path!s}:{line_no}: non-numeric field in {line!r}") from exc
+            where = f"{path!s}:{line_no}"
+            srcs.append(_parse_int(parts[0], where))
+            dsts.append(_parse_int(parts[1], where))
+            ts.append(_parse_int(parts[2], where))
     return (
         np.asarray(srcs, dtype=np.int64),
         np.asarray(dsts, dtype=np.int64),

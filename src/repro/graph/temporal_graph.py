@@ -17,6 +17,40 @@ import numpy as np
 from ..errors import GraphFormatError
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def as_int64_array(values, name: str) -> np.ndarray:
+    """``values`` as an ``int64`` array (same shape), refusing any lossy cast.
+
+    ``np.asarray(values, dtype=np.int64)`` truncates ``1.7`` to ``1`` and
+    turns ``NaN`` into ``-2**63``; this cast raises :class:`GraphFormatError`
+    (naming ``name``) for non-finite, non-integral, non-numeric or
+    out-of-int64 values instead.  Integer input passes through unchanged.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise GraphFormatError(f"{name} is ragged; expected an array of integers") from None
+    kind = array.dtype.kind
+    if kind == "f":
+        if not np.isfinite(array).all():
+            problem = "non-finite"
+        elif (array != np.trunc(array)).any():
+            problem = "non-integral"
+        elif array.size and np.abs(array).max() >= 2.0**63:
+            problem = "out-of-int64"
+        else:
+            return array.astype(np.int64)
+    elif kind in "iub":
+        if array.dtype != np.uint64 or not array.size or int(array.max()) <= _INT64_MAX:
+            return array.astype(np.int64)
+        problem = "out-of-int64"
+    else:
+        problem = f"non-integer ({array.dtype})"
+    raise GraphFormatError(f"{name} has {problem} values; expected integers within int64")
+
+
 def _stable_merge_positions(keys_a: np.ndarray, keys_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Output positions of a stable two-way merge of sorted key arrays.
 
@@ -334,9 +368,9 @@ class TemporalGraph:
         The node universe is always fixed: new endpoints must lie in
         ``[0, num_nodes)``.
         """
-        new_src = np.asarray(new_src, dtype=np.int64).reshape(-1)
-        new_dst = np.asarray(new_dst, dtype=np.int64).reshape(-1)
-        new_t = np.asarray(new_t, dtype=np.int64).reshape(-1)
+        new_src = as_int64_array(new_src, "new_src").reshape(-1)
+        new_dst = as_int64_array(new_dst, "new_dst").reshape(-1)
+        new_t = as_int64_array(new_t, "new_t").reshape(-1)
         if not (new_src.shape == new_dst.shape == new_t.shape):
             raise GraphFormatError(
                 f"appended edge arrays must be parallel: new_src={new_src.shape}, "

@@ -22,6 +22,15 @@ independent for every seed, and a stream can be further
 :meth:`~numpy.random.SeedSequence.spawn`-split into per-chunk children whose
 draws do not depend on how many workers consume them.
 
+Bulk per-item draws -- the ego sampler's neighbour truncation, one draw per
+``(centre, level, parent, slot)`` for thousands of centres at once -- do not
+build a generator per item.  They come from :func:`counter_hash`, a
+vectorised ``uint64`` SplitMix64 finaliser that absorbs one counter word per
+call (the counter-based scheme of Salmon et al., "Parallel Random Numbers:
+As Easy as 1, 2, 3", SC'11): a draw is a pure function of a 64-bit key
+taken from one named stream plus the item's coordinates, so it does not
+depend on which batch, chunk or worker computes it.
+
 Examples
 --------
 >>> from repro.rng import stream
@@ -38,7 +47,7 @@ from typing import List, Union
 
 import numpy as np
 
-__all__ = ["seed_sequence", "stream", "spawn_streams"]
+__all__ = ["bounded_draws", "counter_hash", "key_from", "seed_sequence", "stream", "spawn_streams"]
 
 PathPart = Union[str, int, np.integer]
 
@@ -92,3 +101,41 @@ def spawn_streams(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     return list(root.spawn(count))
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def counter_hash(state, word) -> np.ndarray:
+    """Absorb counter ``word`` into ``state``: one SplitMix64 round, vectorised.
+
+    Both arguments broadcast as ``uint64`` arrays and the result is a
+    ``uint64`` array of their broadcast shape.  Chaining calls --
+    ``counter_hash(counter_hash(key, a), b)`` -- addresses one independent
+    64-bit draw per coordinate tuple ``(key, a, b)``; every round is the
+    full SplitMix64 avalanche, so neighbouring counters give unrelated
+    outputs.  Wrap-around multiplication is the intended arithmetic.
+    """
+    with np.errstate(over="ignore"):
+        z = (np.asarray(state, dtype=np.uint64) ^ np.asarray(word, dtype=np.uint64)) + _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX_1
+        z = (z ^ (z >> np.uint64(27))) * _MIX_2
+        return np.atleast_1d(z ^ (z >> np.uint64(31)))
+
+
+def bounded_draws(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Map 64-bit hash ``words`` to integers in ``[0, counts)`` (int64).
+
+    Multiply-shift on the top 32 bits (Lemire's range reduction without the
+    rejection step): the bias is below ``counts / 2**32``, negligible for
+    the neighbour-list lengths it indexes, which must stay below ``2**32``.
+    """
+    high = np.asarray(words, dtype=np.uint64) >> np.uint64(32)
+    return ((high * np.asarray(counts, dtype=np.uint64)) >> np.uint64(32)).astype(np.int64)
+
+
+def key_from(rng: np.random.Generator) -> int:
+    """One 64-bit hash key drawn from ``rng`` (a single raw draw)."""
+    return int(rng.integers(0, 2**64, dtype=np.uint64))

@@ -1,14 +1,15 @@
 """Batched-vs-sequential equivalence of the ego-graph encoding pipeline.
 
-The padded ego-parallel hot path (``pack_ego_batch`` + ``encode_batch``)
-must be a pure vectorisation: same centre representations as encoding each
-ego-graph on its own, same sampling distribution as the per-row generation
+The padded ego-parallel hot path (``ego_graph_batch`` + ``pack_ego_batch``
++ ``encode_batch``) must be a pure vectorisation: same centre
+representations as packing and encoding each ego-graph on its own, same sampling distribution as the per-row generation
 path, and a guarded degenerate-row fallback that can never divide by zero
 or emit a forbidden index.
 """
 
 import numpy as np
 import pytest
+from ego_oracle import assert_packed_equal
 
 from repro.core import EgoGraphSampler, TGAEEncoder, TGAEGenerator, TGAEModel, fast_config
 from repro.core.generator import (
@@ -21,6 +22,7 @@ from repro.graph import (
     build_bipartite_batch,
     ego_graph_batch,
     pack_ego_batch,
+    sample_ego_graph,
 )
 from repro.nn import TemporalGraphAttention
 
@@ -45,7 +47,7 @@ def sample_egos(graph, config, count=10, seed=1):
         radius=config.radius,
         threshold=config.neighbor_threshold,
         time_window=config.time_window,
-        rng=np.random.default_rng(seed + 1),
+        key=seed + 1,
     )
     return centers, egos
 
@@ -76,9 +78,13 @@ class TestPackEgoBatch:
     def test_matches_single_ego_bipartite_counts(self):
         g = toy_graph()
         config = fast_config()
-        _, egos = sample_egos(g, config, count=6)
+        centers, egos = sample_egos(g, config, count=6)
         packed = pack_ego_batch(egos)
-        for b, ego in enumerate(egos):
+        for b, (u, t) in enumerate(centers):
+            ego = sample_ego_graph(
+                g, (int(u), int(t)), config.radius, config.neighbor_threshold,
+                config.time_window, key=2,
+            )
             merged = build_bipartite_batch([ego])
             for level in range(config.radius + 1):
                 assert int(packed.node_mask[level][b].sum()) == merged.level_nodes[level].shape[0]
@@ -86,17 +92,50 @@ class TestPackEgoBatch:
                 assert int(packed.levels[level].edge_mask[b].sum()) == merged.levels[level].num_edges
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(GraphFormatError):
-            pack_ego_batch([])
-
-    def test_mixed_radius_rejected(self):
         g = toy_graph()
-        c1 = fast_config(radius=1)
-        c2 = fast_config(radius=2)
-        _, egos1 = sample_egos(g, c1, count=2)
-        _, egos2 = sample_egos(g, c2, count=2)
+        config = fast_config()
         with pytest.raises(GraphFormatError):
-            pack_ego_batch([egos1[0], egos2[0]])
+            ego_graph_batch(g, np.zeros((0, 2), dtype=np.int64), config.radius, 5, 1, key=0)
+        _, egos = sample_egos(g, config, count=3)
+        with pytest.raises(GraphFormatError):
+            pack_ego_batch(egos, 0, 0)
+
+    def test_out_of_range_slice_rejected(self):
+        g = toy_graph()
+        _, egos = sample_egos(g, fast_config(), count=4)
+        for start, stop in ((2, 2), (3, 1), (0, 5), (-1, 2)):
+            with pytest.raises(GraphFormatError):
+                pack_ego_batch(egos, start, stop)
+
+    def test_slice_padding_depends_on_the_slice_only(self):
+        g = toy_graph()
+        config = fast_config()
+        centers, egos = sample_egos(g, config, count=9)
+        for start, stop in ((0, 3), (3, 9), (4, 5)):
+            alone = pack_ego_batch(
+                ego_graph_batch(
+                    g, centers[start:stop], config.radius, config.neighbor_threshold,
+                    config.time_window, key=2,
+                )
+            )
+            assert_packed_equal(pack_ego_batch(egos, start, stop), alone)
+
+
+def encode_alone(encoder_or_model, g, config, centers, key, **kwargs):
+    """Encode every centre as its own one-ego packed batch."""
+    rows = []
+    for u, t in centers:
+        single = pack_ego_batch(
+            ego_graph_batch(
+                g, np.array([[u, t]]), config.radius, config.neighbor_threshold,
+                config.time_window, key=key,
+            )
+        )
+        if isinstance(encoder_or_model, TGAEEncoder):
+            rows.append(encoder_or_model.encode_batch(single).numpy()[0])
+        else:
+            rows.append(encoder_or_model(single, **kwargs).logits.numpy()[0])
+    return np.stack(rows)
 
 
 class TestBatchedEncodingEquivalence:
@@ -104,24 +143,20 @@ class TestBatchedEncodingEquivalence:
     def test_encode_batch_matches_per_node_encode(self, radius):
         g = toy_graph(seed=radius)
         config = fast_config(radius=radius)
-        _, egos = sample_egos(g, config, count=12, seed=radius)
+        centers, egos = sample_egos(g, config, count=12, seed=radius)
         encoder = TGAEEncoder(g.num_nodes, g.num_timestamps, config)
         batched = encoder.encode_batch(pack_ego_batch(egos)).numpy()
-        sequential = np.stack(
-            [encoder.encode_centers(build_bipartite_batch([ego])).numpy()[0] for ego in egos]
-        )
+        sequential = encode_alone(encoder, g, config, centers, key=radius + 1)
         assert batched.shape == (12, config.hidden_dim)
         np.testing.assert_allclose(batched, sequential, atol=1e-9)
 
     def test_model_forward_matches_per_node_forward(self):
         g = toy_graph()
         config = fast_config()
-        _, egos = sample_egos(g, config, count=6)
+        centers, egos = sample_egos(g, config, count=6)
         model = TGAEModel(g.num_nodes, g.num_timestamps, config)
         batched = model(pack_ego_batch(egos), sample=False).logits.numpy()
-        sequential = np.stack(
-            [model(build_bipartite_batch([ego]), sample=False).logits.numpy()[0] for ego in egos]
-        )
+        sequential = encode_alone(model, g, config, centers, key=2, sample=False)
         np.testing.assert_allclose(batched, sequential, atol=1e-8)
 
     def test_gradients_flow_through_packed_path(self):
@@ -135,15 +170,14 @@ class TestBatchedEncodingEquivalence:
         grads = [p.grad for p in model.parameters() if p.grad is not None]
         assert grads and all(np.isfinite(gr).all() for gr in grads)
 
-    def test_training_batch_exposes_both_views(self):
+    def test_training_batch_exposes_packed_view(self):
         g = toy_graph()
         config = fast_config(num_initial_nodes=5)
         sampler = EgoGraphSampler(g, config, np.random.default_rng(5))
         batch = sampler.next_batch()
         assert batch.packed.batch_size == 5
-        assert batch.bipartite.num_centers == 5
-        assert batch.computation_batch(True) is batch.packed
-        assert batch.computation_batch(False) is batch.bipartite
+        np.testing.assert_array_equal(batch.packed.center_nodes, batch.centers)
+        assert len(batch.target_rows) == 5
 
 
 class TestBatchedAttentionMasking:
@@ -261,19 +295,15 @@ class TestSamplingWithoutReplacement:
 
 
 class TestBatchedGeneration:
-    def test_packed_and_merged_generation_reproduce_observed_budgets(self):
+    def test_generation_reproduces_observed_budgets(self):
         # Generation reproduces the observed (src, t) out-degree budgets
-        # regardless of encoder layout, so the generated edge multiset
-        # matches the sequential path on everything the budgets determine.
+        # exactly, so the generated edge multiset matches the observed one
+        # on everything the budgets determine.
         g = toy_graph(num_nodes=12, num_edges=60, num_timestamps=4, seed=9)
-        packed_gen = TGAEGenerator(fast_config(epochs=2, num_initial_nodes=8))
-        merged_gen = TGAEGenerator(
-            fast_config(epochs=2, num_initial_nodes=8, packed_batches=False)
+        generated = TGAEGenerator(fast_config(epochs=2, num_initial_nodes=8)).fit(g).generate(
+            seed=0
         )
-        packed_graph = packed_gen.fit(g).generate(seed=0)
-        merged_graph = merged_gen.fit(g).generate(seed=0)
-        assert packed_graph.num_edges == g.num_edges
-        assert merged_graph.num_edges == g.num_edges
+        assert generated.num_edges == g.num_edges
 
         def src_time_multiset(graph):
             pairs, counts = np.unique(
@@ -281,9 +311,9 @@ class TestBatchedGeneration:
             )
             return {tuple(p): int(c) for p, c in zip(pairs, counts)}
 
-        assert src_time_multiset(packed_graph) == src_time_multiset(merged_graph)
-        # Self-loops are forbidden on both paths.
-        assert (packed_graph.src != packed_graph.dst).all()
+        assert src_time_multiset(generated) == src_time_multiset(g)
+        # Self-loops are forbidden.
+        assert (generated.src != generated.dst).all()
 
     def test_generation_deterministic_under_packed_path(self):
         g = toy_graph(num_nodes=10, num_edges=40, num_timestamps=3, seed=4)

@@ -57,7 +57,7 @@ class TestDecoder:
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, SPARSE)
         sampler = EgoGraphSampler(observed, SPARSE, np.random.default_rng(3))
         batch = sampler.next_batch()
-        decoded = model(batch.bipartite, sample=False, candidates=batch.candidates)
+        decoded = model(batch.packed, sample=False, candidates=batch.candidates)
         assert decoded.logits.shape == batch.candidates.shape
 
     def test_candidate_logits_match_dense_columns(self, observed):
@@ -65,9 +65,9 @@ class TestDecoder:
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, SPARSE)
         sampler = EgoGraphSampler(observed, SPARSE, np.random.default_rng(4))
         batch = sampler.next_batch()
-        dense = model(batch.bipartite, sample=False).logits.numpy()
+        dense = model(batch.packed, sample=False).logits.numpy()
         sparse = model(
-            batch.bipartite, sample=False, candidates=batch.candidates
+            batch.packed, sample=False, candidates=batch.candidates
         ).logits.numpy()
         for row in range(batch.candidates.shape[0]):
             assert np.allclose(sparse[row], dense[row][batch.candidates[row]])
@@ -76,7 +76,7 @@ class TestDecoder:
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, SPARSE)
         sampler = EgoGraphSampler(observed, SPARSE, np.random.default_rng(5))
         batch = sampler.next_batch()
-        decoded = model(batch.bipartite, sample=True, candidates=batch.candidates)
+        decoded = model(batch.packed, sample=True, candidates=batch.candidates)
         loss = tgae_loss(decoded, batch.target_rows, kl_weight=1e-3,
                          candidates=batch.candidates)
         loss.backward()

@@ -47,13 +47,19 @@ from repro.graph import TemporalGraph, validate_generated
 # streams (``(seed, "tgae", "infer-ego", u, t)``) for the versioned
 # embedding cache -- embeddings became pure functions of (weights, graph,
 # config), so the chunk stream now drives only candidate negatives and
-# Gumbel noise.  Any unintended change to training draws, shard
+# Gumbel noise; recaptured again when ego sampling moved to the batched
+# sampler with counter-hash truncation draws (``repro.rng.counter_hash``
+# keyed on (key, centre, level, parent, slot); the key is one draw of the
+# shard child in training and of the named stream ``(seed, "tgae",
+# "infer-ego")`` at inference) and canonical packed edge order -- the
+# batched sampler is pinned bitwise to the per-centre oracle by
+# ``tests/test_graph_ego.py``.  Any unintended change to training draws, shard
 # partitioning, chunking, or stream derivation shows up here as a
 # mismatch, and the constants are additionally pinned cache-on == cache-off
 # by ``tests/test_embed_cache.py``.
 GOLDEN_DENSE = {
-    0: "743c31a032571595b37dd424fce3edf34f5e1ae174fe87dfb20061d5574f97b5",
-    7: "d8a000fdcd5763c1d45d7a66396106b47e49f5ec9b2e08a04ee2a8d3f6125284",
+    0: "2d8c664253f7639166771a6833161222ac5cc16ccd9881517b37f4c7cb83430e",
+    7: "61ff0e22f56f63c61037a6ec522a44d94e5d6ff356e51419cc7076b8bba7aeec",
 }
 
 

@@ -30,7 +30,7 @@ class TestEncoder:
         config = fast_config(num_initial_nodes=8)
         encoder = TGAEEncoder(g.num_nodes, g.num_timestamps, config)
         batch = make_batch(g, config)
-        hidden = encoder.encode_centers(batch.bipartite)
+        hidden = encoder.encode_batch(batch.packed)
         assert hidden.shape == (8, config.hidden_dim)
 
     def test_node_features_shape(self):
@@ -123,7 +123,7 @@ class TestModel:
         config = fast_config(num_initial_nodes=8)
         model = TGAEModel(g.num_nodes, g.num_timestamps, config)
         batch = make_batch(g, config)
-        decoded = model(batch.bipartite, sample=False)
+        decoded = model(batch.packed, sample=False)
         probs = softmax(decoded.logits, axis=-1).numpy()
         assert probs.shape == (8, g.num_nodes)
         assert np.allclose(probs.sum(axis=1), 1.0)
@@ -133,7 +133,7 @@ class TestModel:
         config = fast_config(num_initial_nodes=8)
         model = TGAEModel(g.num_nodes, g.num_timestamps, config)
         batch = make_batch(g, config)
-        decoded = model(batch.bipartite, sample=True)
+        decoded = model(batch.packed, sample=True)
         from repro.core import tgae_loss
 
         loss = tgae_loss(decoded, batch.target_rows, kl_weight=config.kl_weight)

@@ -261,6 +261,20 @@ class TestUpdate:
         with pytest.raises(GraphFormatError):
             gen.update(([observed.num_nodes], [0], [0]), epochs=1)
 
+    def test_rejects_non_integral_and_non_finite_edges(self, observed):
+        gen = TGAEGenerator(make_config(2)).fit(observed)
+        before = gen.observed
+        for edges in (
+            ([1.7], [2], [0]),
+            ([1], [float("nan")], [0]),
+            ([1], [2], [float("inf")]),
+            np.array([[1.5, 2.0, 0.0]]),
+            [[1, 2], [3]],
+        ):
+            with pytest.raises(GraphFormatError):
+                gen.update(edges, epochs=0)
+        assert gen.observed == before
+
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             TGAEGenerator(make_config(2)).update(([0], [1], [0]))

@@ -19,6 +19,7 @@ from repro.graph import (
     from_temporal_graph,
     perturb_edges,
     rewire_degree_preserving,
+    ego_graph_batch,
     sample_ego_graph,
     shuffle_timestamps,
 )
@@ -77,12 +78,14 @@ def test_event_smear_deterministic(observed):
 
 
 def test_ego_graph_sampling_deterministic(observed):
-    rng_a = np.random.default_rng(8)
-    rng_b = np.random.default_rng(8)
     ego_a = sample_ego_graph(observed, (0, 1), radius=2, threshold=5,
-                             time_window=2, rng=rng_a)
+                             time_window=2, key=8)
     ego_b = sample_ego_graph(observed, (0, 1), radius=2, threshold=5,
-                             time_window=2, rng=rng_b)
+                             time_window=2, key=8)
     assert len(ego_a.layers) == len(ego_b.layers)
     for layer_a, layer_b in zip(ego_a.layers, ego_b.layers):
         assert np.array_equal(layer_a, layer_b)
+    batch_a = ego_graph_batch(observed, np.array([[0, 1]]), 2, 5, 2, key=8)
+    batch_b = ego_graph_batch(observed, np.array([[0, 1]]), 2, 5, 2, key=8)
+    for table_a, table_b in zip(batch_a.tables, batch_b.tables):
+        assert np.array_equal(table_a, table_b)

@@ -97,26 +97,31 @@ def fitted_off(observed):
 class TestModelSplit:
     """encode_inference + decode_from_embeddings == forward(sample=False)."""
 
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_composition_is_bitwise_identical(self, observed, fitted_on, packed):
+    @pytest.mark.parametrize("tiled", [True, False])
+    def test_composition_is_bitwise_identical(self, observed, fitted_on, tiled):
+        """Holds for one packed batch and for per-tile packed slices alike."""
         model = fitted_on.model
-        config = dataclasses.replace(fitted_on.config, packed_batches=packed)
         centers = np.array([[0, 1], [3, 2], [7, 0], [12, 4]], dtype=np.int64)
-        batch = EgoGraphSampler(observed, config).inference_batch(centers)
-        comp = batch.computation_batch(packed)
-
-        full = model(comp, sample=False)
-        emb = model.encode_inference(comp)
-        split = model.decode_from_embeddings(emb, centers)
-        assert full.logits.numpy().tobytes() == split.logits.numpy().tobytes()
-        assert full.mu.numpy().tobytes() == split.mu.numpy().tobytes()
+        bounds = (0, 1, 4) if tiled else None
+        batches = list(
+            EgoGraphSampler(observed, fitted_on.config).inference_batch(centers, bounds)
+        )
+        assert len(batches) == (2 if tiled else 1)
+        offset = 0
+        for comp in batches:
+            rows = centers[offset : offset + comp.batch_size]
+            offset += comp.batch_size
+            full = model(comp, sample=False)
+            emb = model.encode_inference(comp)
+            split = model.decode_from_embeddings(emb, rows)
+            assert full.logits.numpy().tobytes() == split.logits.numpy().tobytes()
+            assert full.mu.numpy().tobytes() == split.mu.numpy().tobytes()
 
     def test_candidate_composition_is_bitwise_identical(self, observed, fitted_on):
         model = fitted_on.model
         centers = np.array([[1, 1], [5, 3]], dtype=np.int64)
         candidates = np.array([[0, 2, 4, 6], [1, 3, 5, 7]], dtype=np.int64)
-        batch = EgoGraphSampler(observed, fitted_on.config).inference_batch(centers)
-        comp = batch.computation_batch(True)
+        (comp,) = EgoGraphSampler(observed, fitted_on.config).inference_batch(centers)
 
         full = model(comp, sample=False, candidates=candidates)
         emb = model.encode_inference(comp)

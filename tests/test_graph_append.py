@@ -108,6 +108,24 @@ class TestAppended:
         with pytest.raises(GraphFormatError, match="parallel"):
             g.appended([0, 1], [1], [0])
 
+    @pytest.mark.parametrize(
+        "column, values",
+        [("new_src", [1.7]), ("new_dst", [np.nan]), ("new_t", [np.inf]), ("new_src", ["1"])],
+    )
+    def test_rejects_lossy_casts(self, column, values):
+        """1.7 must not become edge 1 -> 2, NaN not a bogus range error."""
+        g = TemporalGraph(4, [0], [1], [0], num_timestamps=2)
+        edges = {"new_src": [1], "new_dst": [2], "new_t": [0]}
+        edges[column] = values
+        with pytest.raises(GraphFormatError, match=column):
+            g.appended(**edges)
+
+    def test_integral_floats_accepted(self):
+        g = TemporalGraph(4, [0], [1], [0], num_timestamps=2)
+        g2 = g.appended([1.0], np.array([2.0]), [1])
+        np.testing.assert_array_equal(g2.src, [0, 1])
+        assert g2.src.dtype == np.int64
+
     def test_cold_source_stays_lazy(self):
         g = TemporalGraph(4, [0, 1], [1, 2], [0, 1], num_timestamps=2)
         g2 = g.appended([2], [3], [1])

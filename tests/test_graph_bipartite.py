@@ -1,14 +1,25 @@
-"""Tests for the k-bipartite computation graph construction (Fig. 4)."""
+"""Tests for the merged k-bipartite computation graphs (Fig. 4).
+
+``build_bipartite_batch`` is the reference layout the packed sampler's
+oracle (``tests/ego_oracle.py``) canonicalises, so its structure is pinned
+here on ego-graphs from the per-centre sampler.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import TemporalGraph, build_bipartite_batch, ego_graph_batch
+from repro.graph import TemporalGraph, build_bipartite_batch, sample_ego_graph
+
+
+def ego_graphs(graph, centers, radius, threshold, time_window, key=0):
+    return [
+        sample_ego_graph(graph, (int(u), int(t)), radius, threshold, time_window, key)
+        for u, t in centers
+    ]
 
 
 def sample_batch(num_centers=4, radius=2, seed=0):
-    rng = np.random.default_rng(seed)
     g = TemporalGraph(
         8,
         [0, 1, 2, 3, 4, 5, 6, 0, 2, 4],
@@ -16,7 +27,7 @@ def sample_batch(num_centers=4, radius=2, seed=0):
         [0, 0, 1, 1, 2, 2, 3, 1, 2, 3],
     )
     centers = np.array([[0, 0], [2, 1], [4, 2], [6, 3]])[:num_centers]
-    egos = ego_graph_batch(g, centers, radius=radius, threshold=4, time_window=2, rng=rng)
+    egos = ego_graphs(g, centers, radius=radius, threshold=4, time_window=2, key=seed)
     return g, egos, build_bipartite_batch(egos)
 
 
@@ -35,8 +46,7 @@ class TestStructure:
     def test_centers_deduplicated(self):
         g = TemporalGraph(3, [0, 1], [1, 2], [0, 0])
         centers = np.array([[0, 0], [0, 0], [1, 0]])
-        egos = ego_graph_batch(g, centers, radius=1, threshold=4, time_window=1,
-                               rng=np.random.default_rng(0))
+        egos = ego_graphs(g, centers, radius=1, threshold=4, time_window=1)
         batch = build_bipartite_batch(egos)
         assert batch.num_centers == 2
         assert batch.center_index[0] == batch.center_index[1]
@@ -88,9 +98,8 @@ class TestStructure:
 
     def test_mixed_radius_raises(self):
         g = TemporalGraph(3, [0, 1], [1, 2], [0, 0])
-        rng = np.random.default_rng(0)
-        e1 = ego_graph_batch(g, np.array([[0, 0]]), 1, 4, 1, rng)[0]
-        e2 = ego_graph_batch(g, np.array([[1, 0]]), 2, 4, 1, rng)[0]
+        e1 = sample_ego_graph(g, (0, 0), 1, 4, 1, key=0)
+        e2 = sample_ego_graph(g, (1, 0), 2, 4, 1, key=0)
         with pytest.raises(GraphFormatError):
             build_bipartite_batch([e1, e2])
 
@@ -100,8 +109,7 @@ class TestDeduplicationAcrossEgos:
         """Two centres sharing neighbourhoods must not duplicate level nodes."""
         g = TemporalGraph(3, [0, 1], [2, 2], [0, 0])  # both 0 and 1 point at 2
         centers = np.array([[0, 0], [1, 0]])
-        egos = ego_graph_batch(g, centers, radius=1, threshold=4, time_window=1,
-                               rng=np.random.default_rng(0))
+        egos = ego_graphs(g, centers, radius=1, threshold=4, time_window=1)
         batch = build_bipartite_batch(egos)
         level1 = {tuple(r) for r in batch.level_nodes[1].tolist()}
         # (2, 0) appears in both ego-graphs but only once in the level table.

@@ -1,5 +1,6 @@
 """Tests for edge-list persistence."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
@@ -74,3 +75,37 @@ class TestErrors:
         path.write_text("0 1 0\nbroken\n")
         with pytest.raises(GraphFormatError, match=":2"):
             load_edge_list(path)
+
+    @pytest.mark.parametrize("field", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_field_raises(self, tmp_path, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1 0\n0 {field} 1\n")
+        with pytest.raises(GraphFormatError, match=":2"):
+            load_edge_list(path)
+
+    def test_non_integral_field_raises(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1 0\n1 2 1.5\n")
+        with pytest.raises(GraphFormatError, match=":2.*non-integral"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("field", [str(2**63), str(-(2**63) - 1), "1e19", "1e999999999"])
+    def test_out_of_int64_field_raises(self, tmp_path, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 {field} 0\n")
+        with pytest.raises(GraphFormatError, match=":1.*int64"):
+            load_edge_list(path)
+
+    def test_ids_above_2_pow_53_stay_distinct(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("9007199254740993 9007199254740992 0\n")
+        g = load_edge_list(path)
+        assert g.num_nodes == 2
+        assert g.src[0] != g.dst[0]
+
+    def test_integral_spellings_accepted(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1.0 0\n1e1 2 3.00\n")
+        g = load_edge_list(path, reindex=False)
+        np.testing.assert_array_equal(g.src, [0, 10])
+        np.testing.assert_array_equal(g.t, [0, 3])

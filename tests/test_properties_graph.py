@@ -12,6 +12,7 @@ from repro.graph import (
     cumulative_snapshots,
     ego_graph_batch,
     initial_node_probabilities,
+    sample_ego_graph,
     sample_initial_nodes,
 )
 from repro.metrics import compare_graphs, total_variation
@@ -62,13 +63,12 @@ def test_initial_probabilities_valid(graph):
 def test_ego_batch_layer_sizes_bounded(graph, radius, threshold):
     rng = np.random.default_rng(0)
     centers = sample_initial_nodes(graph, 3, rng)
-    egos = ego_graph_batch(graph, centers, radius, threshold, time_window=2, rng=rng)
-    for ego in egos:
-        assert ego.radius == radius
-        size = 1
-        for level in range(1, radius + 1):
-            size *= threshold
-            assert ego.layers[level].shape[0] <= max(size, threshold) * 2 ** radius
+    egos = ego_graph_batch(graph, centers, radius, threshold, time_window=2, key=0)
+    assert egos.radius == radius
+    for level in range(radius + 1):
+        # Each of at most th^(l-1) frontier nodes adds at most th children.
+        bound = sum(threshold**hop for hop in range(level + 1))
+        assert np.diff(egos.table_offsets[level]).max() <= bound
 
 
 @given(temporal_graphs(), st.integers(1, 3))
@@ -76,7 +76,10 @@ def test_ego_batch_layer_sizes_bounded(graph, radius, threshold):
 def test_bipartite_nesting_invariant(graph, radius):
     rng = np.random.default_rng(1)
     centers = sample_initial_nodes(graph, 4, rng)
-    egos = ego_graph_batch(graph, centers, radius, threshold=5, time_window=2, rng=rng)
+    egos = [
+        sample_ego_graph(graph, (int(u), int(t)), radius, 5, time_window=2, key=1)
+        for u, t in centers
+    ]
     batch = build_bipartite_batch(egos)
     for level in range(1, batch.radius + 1):
         upper = {tuple(r) for r in batch.level_nodes[level].tolist()}
