@@ -19,13 +19,7 @@ from .engine import (
     sample_rows_without_replacement,
     sample_without_replacement,
 )
-from .parallel import (
-    WorkerPayload,
-    WorkerPool,
-    close_shared_pools,
-    run_sharded,
-    shared_pool,
-)
+from .parallel import WorkerPool, run_sharded
 from .generator import TGAEGenerator
 from .persistence import load_generator, save_generator, save_training_checkpoint
 from .loss import (
@@ -75,10 +69,7 @@ __all__ = [
     "GenerationEngine",
     "GenerateChunkTask",
     "TopKChunkTask",
-    "WorkerPayload",
     "WorkerPool",
-    "shared_pool",
-    "close_shared_pools",
     "run_sharded",
     "TopKScores",
     "EMBED_TILE",

@@ -653,7 +653,7 @@ class GenerationEngine:
         ``workers``/``chunk_size``/``backend`` default to the config knobs;
         ``pool`` dispatches through a persistent
         :class:`~repro.core.parallel.WorkerPool` instead of a throwaway
-        executor (amortising startup over repeated calls).
+        one (amortising startup over repeated calls).
         """
         graph = self.graph
         centers_all, degrees, distinct_counts = self.active_nodes()

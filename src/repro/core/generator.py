@@ -280,7 +280,6 @@ class TGAEGenerator(TemporalGraphGenerator):
             self._pool = pool = WorkerPool(
                 workers,
                 backend,
-                shm_dispatch=self.config.shm_dispatch,
                 max_shard_retries=self.config.max_shard_retries,
                 shard_timeout=self.config.shard_timeout,
             )

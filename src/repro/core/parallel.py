@@ -5,15 +5,13 @@ data-parallel trainer (:mod:`repro.core.trainer`) both split their work into
 independent units -- one encoder forward (+ backward, for training) per chunk
 of centre temporal nodes -- where every unit owns a spawned
 :class:`~numpy.random.SeedSequence` child (see :mod:`repro.rng`), touches
-only its own centre rows, and returns plain arrays.  This module fans those
-units out across a pool:
+only its own centre rows, and returns plain arrays.  :class:`WorkerPool` is
+the one multi-worker dispatch path that fans those units out:
 
 * ``backend="process"`` (default) runs chunks in worker *processes* -- the
   right choice for the CPU-bound NumPy forward passes, which the GIL would
-  serialise under threads.  Each worker rebuilds the model/graph once from a
-  :class:`WorkerPayload` of plain arrays shipped through the pool
-  initializer; per-task messages carry only index arrays and a seed-sequence
-  child (training shards add the current weights, which change every step).
+  serialise under threads.  Workers attach shared-memory segments once and
+  rebuild the model/graph from them (see below).
 * ``backend="thread"`` shares the live engine across a thread pool -- the
   fallback for environments where process pools are unavailable (no POSIX
   semaphores, restricted sandboxes); the process backend degrades to it
@@ -24,48 +22,47 @@ units out across a pool:
   in-process loop -- the exact sequential path.
 
 Because chunk streams are spawned from one root before any dispatch and
-results are merged in chunk order, the three execution modes are
+results are merged in chunk order, every execution mode is
 **bit-identical**: worker count and backend change wall-clock time, never
 output.
 
-:class:`WorkerPool` makes the executor *persistent*: one pool outlives many
-``generate()`` / ``score_topk()`` calls and every epoch of a training run,
-so many-sample workloads (significance tests, top-k sweeps, multi-epoch
-training) pay process startup and graph shipping once instead of per call.
+A pool is *persistent*: one pool outlives many ``generate()`` /
+``score_topk()`` calls and every epoch of a training run, so many-sample
+workloads (significance tests, top-k sweeps, multi-epoch training) pay
+process startup and graph shipping once instead of per call.
+:func:`run_sharded` without an open pool runs one throwaway pool for the
+call, with the same retries and ladder.
 
 Shared-memory dispatch
 ----------------------
 
-On the process backend a persistent pool additionally publishes everything
-large -- the model parameters and the graph's edge/CSR arrays -- into
+On the process backend the pool publishes everything large -- the model
+parameters and the graph's edge/CSR arrays -- into
 :mod:`multiprocessing.shared_memory` segments (:class:`SharedArrayStore`:
 one writer, N readers).  Workers attach the segments once, by name, through
-a ~5 KB :class:`ShmWorkerPayload` of handles; after that, per-epoch and
+a ~5 KB :class:`WorkerHandles` payload; after that, per-epoch and
 per-generate dispatch is **O(1) in model size**: task messages carry only
-index arrays and seed-sequence children, and a refreshed model (a new epoch,
-a refit) is shipped by overwriting the parameter segment *in place* and
-bumping a version counter -- no re-pickle, no executor rebuild.  Segments
-are fingerprint-keyed: the graph/config/shape *structure* token decides when
-workers must be rebuilt, while weight-only changes ride the in-place update
-path.  The pool owns the segments and unlinks them on :meth:`WorkerPool.close`
-(and on degrade, worker crash, or interpreter exit); teardown is
-idempotent and safe to run from ``atexit``.  ``shm_dispatch=False`` (or
-``TGAEConfig(shm_dispatch=False)``) restores the plain pickled-payload
-dispatch.
+index arrays and seed-sequence children, never weights, and a refreshed
+model (a new epoch, a refit) is shipped by overwriting the parameter segment
+*in place* and bumping a version counter -- no re-pickle, no executor
+rebuild.  The graph/config/shape *structure* token decides when workers
+must be rebuilt.  The pool owns the segments and unlinks them on
+:meth:`WorkerPool.close` (and on degrade, worker crash, or interpreter
+exit); teardown is idempotent and safe to run from ``atexit``.
 
 Fault tolerance
 ---------------
 
 Every shard is a pure function of (task, seed-sequence child, weights), so
-recovery never risks the bit-identity contract.  Within a rung a persistent
-pool retries transient shard failures (bounded, exponential backoff),
+recovery never risks the bit-identity contract.  Within a rung a pool
+retries transient shard failures (bounded, exponential backoff),
 re-dispatches stragglers that exceed ``shard_timeout``, and rebuilds a
 process executor whose worker crashed (the parent-owned segments survive).
-When a rung is exhausted the pool steps down the degradation ladder
-``shm -> pickle -> thread -> sequential`` -- permanently and loudly, one
-:class:`~repro.errors.DegradeWarning` per step -- with counters exposed on
-:attr:`WorkerPool.health`.  All of it is provoked deterministically in tests
-through :mod:`repro.faults`.
+When a rung is exhausted -- or a host cannot create a segment at all -- the
+pool steps down the degradation ladder ``shm -> thread -> sequential`` --
+permanently and loudly, one :class:`~repro.errors.DegradeWarning` per step
+-- with counters exposed on :attr:`WorkerPool.health`.  All of it is
+provoked deterministically in tests through :mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -101,15 +98,11 @@ __all__ = [
     "SharedArrayStore",
     "ShmArraySpec",
     "ShmHandle",
-    "ShmWorkerPayload",
-    "WorkerPayload",
+    "WorkerHandles",
     "WorkerPool",
     "attach_shared_arrays",
-    "payload_from_engine",
     "run_sharded",
     "shared_memory_supported",
-    "shared_pool",
-    "close_shared_pools",
 ]
 
 #: Supported executor backends, in order of preference.
@@ -128,7 +121,7 @@ _SHM_ALIGN = 64
 
 #: The degradation ladder, fastest rung first.  A persistent pool starts on
 #: the highest rung its configuration allows and only ever moves down.
-LADDER = ("shm", "pickle", "thread", "sequential")
+LADDER = ("shm", "thread", "sequential")
 
 
 class _RungExhausted(Exception):
@@ -147,43 +140,6 @@ class _RungExhausted(Exception):
 
 #: What the ladder in :meth:`WorkerPool.run` catches before stepping down.
 _RUNG_FAILURES = (_RungExhausted,) + _POOL_FAILURES
-
-
-@dataclass(frozen=True)
-class WorkerPayload:
-    """Everything a worker process needs, reduced to plain picklable data.
-
-    Shipped once per worker through the pool initializer (cheap under
-    ``fork``, a single pickle under ``spawn``); the worker rebuilds the
-    model from its ``state_dict`` and the graph from its edge arrays, the
-    same way :func:`repro.core.persistence.load_generator` does.  This is
-    the non-shared-memory dispatch format; see :class:`ShmWorkerPayload`
-    for the O(1)-in-model-size variant.
-    """
-
-    state: Dict[str, np.ndarray]
-    config: TGAEConfig
-    num_nodes: int
-    num_timestamps: int
-    src: np.ndarray
-    dst: np.ndarray
-    t: np.ndarray
-    external_features: Optional[np.ndarray]
-
-
-def payload_from_engine(engine: Any) -> WorkerPayload:
-    """Flatten a live :class:`~repro.core.engine.GenerationEngine` into arrays."""
-    graph = engine.graph
-    return WorkerPayload(
-        state=engine.model.state_dict(),
-        config=engine.config,
-        num_nodes=graph.num_nodes,
-        num_timestamps=graph.num_timestamps,
-        src=graph.src,
-        dst=graph.dst,
-        t=graph.t,
-        external_features=engine.model.encoder._external_features,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -350,9 +306,9 @@ _SHM_SUPPORTED: Optional[bool] = None
 def shared_memory_supported() -> bool:
     """Whether this platform can create POSIX shared-memory segments.
 
-    Probed once per process with a 1-byte segment; a platform that cannot
-    (no ``/dev/shm``, sandboxed runtime) silently falls back to the plain
-    pickled-payload dispatch.
+    Probed once per process with a 1-byte segment.  A process pool on a
+    platform that cannot (no ``/dev/shm``, sandboxed runtime) fails its
+    first segment publish and degrades loudly to the thread rung.
     """
     global _SHM_SUPPORTED
     if _SHM_SUPPORTED is None:
@@ -369,7 +325,7 @@ def shared_memory_supported() -> bool:
 
 
 @dataclass(frozen=True)
-class ShmWorkerPayload:
+class WorkerHandles:
     """The O(1)-in-model-size worker payload: segment handles, not arrays.
 
     Shipped once per worker through the pool initializer.  The worker
@@ -418,20 +374,17 @@ def _shm_param_arrays(engine: Any) -> Dict[str, np.ndarray]:
     return {name: param.data for name, param in sorted(engine.model.named_parameters())}
 
 
-def _engine_token(engine: Any, include_state: bool) -> str:
-    """Fingerprint of an engine, deciding when shipped workers are stale.
+def _engine_token(engine: Any) -> str:
+    """Structure fingerprint of an engine, deciding when workers are stale.
 
-    Generation tasks read the worker's resident weights, so their token
-    covers the state arrays; training shards carry the current weights in
-    every task message, so their token covers only the graph/config/shape
-    structure -- which is what lets one process pool survive a whole
-    training run even though the weights change every epoch.  Reads the
-    live arrays in place (no ``state_dict`` copy).
-
-    Both flavours hash the graph's edge arrays, so appending observed
-    edges (:meth:`TGAEGenerator.update`) changes the token and the next
-    pooled dispatch republishes the shared-memory graph segment -- exactly
-    once, after which the new token is cached like any other.
+    Covers the graph/config/parameter-*shape* structure but not the weight
+    values: weights ride the in-place parameter-segment update, which is
+    what lets one process pool survive a whole training run even though
+    the weights change every epoch.  Hashing the graph's edge arrays means
+    appending observed edges (:meth:`TGAEGenerator.update`) changes the
+    token, so the next pooled dispatch republishes the shared-memory graph
+    segment -- exactly once, after which the new token is cached like any
+    other.
     """
     digest = hashlib.sha256()
     graph = engine.graph
@@ -444,11 +397,8 @@ def _engine_token(engine: Any, include_state: bool) -> str:
         digest.update(np.ascontiguousarray(external).tobytes())
     for name, param in sorted(engine.model.named_parameters()):
         digest.update(name.encode())
-        if include_state:
-            digest.update(np.ascontiguousarray(param.data).tobytes())
-        else:
-            digest.update(str(param.data.shape).encode())
-    return ("state:" if include_state else "structure:") + digest.hexdigest()
+        digest.update(str(param.data.shape).encode())
+    return digest.hexdigest()
 
 
 def _state_token(engine: Any) -> str:
@@ -460,53 +410,12 @@ def _state_token(engine: Any) -> str:
     return digest.hexdigest()
 
 
-def _build_engine(payload: WorkerPayload, graph: Optional[TemporalGraph] = None) -> Any:
-    """Rebuild a generation engine (model + graph) from plain arrays.
-
-    ``graph`` short-circuits the graph rebuild for same-process replicas
-    (thread-backend training), which can safely share the live read-only
-    graph and its caches.
-    """
-    from .engine import GenerationEngine
-    from .model import TGAEModel
-
-    if graph is None:
-        graph = TemporalGraph(
-            payload.num_nodes,
-            payload.src,
-            payload.dst,
-            payload.t,
-            num_timestamps=payload.num_timestamps,
-            validate=False,
-        )
-    feature_dim = (
-        payload.external_features.shape[-1]
-        if payload.external_features is not None
-        else 0
-    )
-    model = TGAEModel(
-        payload.num_nodes, payload.num_timestamps, payload.config,
-        feature_dim=feature_dim,
-    )
-    model.load_state_dict(payload.state)
-    if payload.external_features is not None:
-        model.encoder.set_external_features(payload.external_features)
-    model.eval()
-    return GenerationEngine(model, graph, payload.config)
-
-
-#: Per-process engine rebuilt by :func:`_init_worker`; ``None`` in the parent.
+#: Per-process engine rebuilt by :func:`_init_worker_shm`; ``None`` in the parent.
 _WORKER_ENGINE: Optional[Any] = None
 #: Attached shared segments (kept alive for the views' lifetime) + param views.
 _WORKER_SHM: List[Any] = []
 _WORKER_PARAM_VIEWS: Optional[Dict[str, np.ndarray]] = None
 _WORKER_PARAM_VERSION: Optional[int] = None
-
-
-def _init_worker(payload: WorkerPayload) -> None:
-    """Pool initializer: rebuild the engine once per worker process."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = _build_engine(payload)
 
 
 def _release_worker_attachments() -> None:
@@ -525,7 +434,7 @@ def _release_worker_attachments() -> None:
             pass
 
 
-def _init_worker_shm(payload: ShmWorkerPayload) -> None:
+def _init_worker_shm(payload: WorkerHandles) -> None:
     """Pool initializer for shm dispatch: attach segments, rebuild the engine.
 
     The graph's edge and partner-CSR arrays stay zero-copy views into the
@@ -596,12 +505,6 @@ def _shard_index(task: Any) -> Optional[int]:
     return getattr(task, "index", None)
 
 
-def _run_remote(kind: str, task: Any, attempt: int = 0) -> Any:
-    """Module-level trampoline executed inside pool worker processes."""
-    faults.check("shard", index=_shard_index(task), attempt=attempt)
-    return _run_on(_WORKER_ENGINE, kind, task)
-
-
 def _run_remote_shm(kind: str, version: int, task: Any, attempt: int = 0) -> Any:
     """Shm-dispatch trampoline: refresh weights from the segment when stale.
 
@@ -649,42 +552,28 @@ def _build_train_replicas(engine: Any, count: int) -> List[Any]:
     """Per-thread model replicas for training shards.
 
     Backward passes accumulate into parameter gradients, so concurrent
-    shards must not share one model.  Replicas share the live (read-only)
-    graph; each run checks replicas out of a queue and returns them.
+    shards must not share one model.  Each replica is a fresh model holding
+    an exact copy of the live weights; all share the live (read-only)
+    graph.  Each run checks replicas out of a queue and returns them.
     """
-    payload = payload_from_engine(engine)
-    return [_build_engine(payload, graph=engine.graph) for _ in range(count)]
+    from .engine import GenerationEngine
+    from .model import TGAEModel
 
-
-def _make_train_replicas(engine: Any, count: int) -> "queue.SimpleQueue":
-    """Replica queue for the one-shot thread path (see :func:`_run_threads`)."""
-    replicas: "queue.SimpleQueue" = queue.SimpleQueue()
-    for replica in _build_train_replicas(engine, count):
-        replicas.put(replica)
+    live, graph, config = engine.model, engine.graph, engine.config
+    external = live.encoder._external_features
+    state = live.state_dict()
+    replicas = []
+    for _ in range(count):
+        model = TGAEModel(
+            graph.num_nodes, graph.num_timestamps, config,
+            feature_dim=external.shape[-1] if external is not None else 0,
+        )
+        model.load_state_dict(state)
+        if external is not None:
+            model.encoder.set_external_features(external)
+        model.eval()
+        replicas.append(GenerationEngine(model, graph, config))
     return replicas
-
-
-def _map_with_replicas(
-    replicas: "queue.SimpleQueue", kind: str, tasks: Sequence[Any], workers: int
-) -> List[Any]:
-    def run(task: Any) -> Any:
-        replica = replicas.get()
-        try:
-            return _run_on(replica, kind, task)
-        finally:
-            replicas.put(replica)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, tasks))
-
-
-def _run_threads(engine: Any, kind: str, tasks: Sequence[Any], workers: int) -> List[Any]:
-    _prewarm_graph(engine.graph)
-    count = min(workers, len(tasks))
-    if kind == "train":
-        return _map_with_replicas(_make_train_replicas(engine, count), kind, tasks, count)
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(lambda task: _run_on(engine, kind, task), tasks))
 
 
 def _process_context() -> multiprocessing.context.BaseContext:
@@ -692,17 +581,6 @@ def _process_context() -> multiprocessing.context.BaseContext:
     # default (spawn on macOS/Windows) where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _run_processes(engine: Any, kind: str, tasks: Sequence[Any], workers: int) -> List[Any]:
-    payload = payload_from_engine(engine)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)),
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        return list(pool.map(partial(_run_remote, kind), tasks))
 
 
 def _pickled_bytes(obj: Any) -> int:
@@ -718,14 +596,11 @@ class WorkerPool:
     ``score_topk`` sweeps, and every epoch of a training run reuse the same
     worker processes.  On the process backend the pool publishes the model
     parameters and the graph's CSR arrays into shared-memory segments
-    (:class:`SharedArrayStore`, enabled by ``shm_dispatch=True`` where the
-    platform supports it): workers attach once, per-task messages carry
-    only index arrays + a parameter version, and weight changes (every
-    training epoch, every refit) are an in-place segment rewrite -- O(1)
-    dispatch in model size.  Without shm the pool re-ships a pickled
-    payload whenever the fingerprint of what workers need actually changes;
-    either way, for training shards -- whose fingerprint ignores weight
-    values -- one pool survives a whole optimisation run.
+    (:class:`SharedArrayStore`): workers attach once, per-task messages
+    carry only index arrays + a parameter version, and weight changes
+    (every training epoch, every refit) are an in-place segment rewrite --
+    O(1) dispatch in model size, and one pool survives a whole
+    optimisation run.
 
     Usage is either explicit::
 
@@ -736,8 +611,8 @@ class WorkerPool:
     or through the owning objects: :meth:`repro.core.TGAEGenerator.worker_pool`
     and ``train_tgae(..., workers=N)`` manage a pool for you.  When a rung
     of the dispatch ladder cannot run (no POSIX semaphores, crashed and
-    unrebuildable workers, restricted sandbox) the pool steps down
-    ``shm -> pickle -> thread -> sequential`` -- loudly, one
+    unrebuildable workers, no shared memory, restricted sandbox) the pool
+    steps down ``shm -> thread -> sequential`` -- loudly, one
     :class:`~repro.errors.DegradeWarning` per step (``backend`` then
     reports the effective backend, ``requested_backend`` the original,
     :attr:`rung` the active rung); results are bit-identical on every rung,
@@ -755,7 +630,6 @@ class WorkerPool:
         self,
         workers: int,
         backend: str = "process",
-        shm_dispatch: bool = True,
         track_dispatch: bool = False,
         max_shard_retries: int = 2,
         shard_timeout: Optional[float] = None,
@@ -786,7 +660,6 @@ class WorkerPool:
         self.retry_backoff = float(retry_backoff)
         self.backend = backend
         self.requested_backend = backend
-        self.shm_dispatch = bool(shm_dispatch)
         self.track_dispatch = bool(track_dispatch)
         self.pool_id = f"workerpool-{next(WorkerPool._ids)}"
         self.runs = 0
@@ -815,9 +688,9 @@ class WorkerPool:
         self._sequential = False
         self._owner_pid = os.getpid()
         self._executor: Optional[ProcessPoolExecutor] = None
-        #: ``(initializer, payload)`` behind the live process executor, kept
-        #: so a broken executor can be rebuilt against surviving segments.
-        self._active_payload: Optional[Tuple[Callable[..., None], Any]] = None
+        #: Handle payload behind the live process executor, kept so a
+        #: broken executor can be rebuilt against surviving segments.
+        self._active_payload: Optional[WorkerHandles] = None
         self._token: Optional[str] = None
         self._thread_executor: Optional[ThreadPoolExecutor] = None
         self._replicas: Optional[List[Any]] = None
@@ -838,25 +711,7 @@ class WorkerPool:
     @property
     def shm_active(self) -> bool:
         """Whether dispatch currently goes through shared-memory segments."""
-        return (
-            self.shm_dispatch
-            and self.backend == "process"
-            and shared_memory_supported()
-        )
-
-    @property
-    def needs_inline_state(self) -> bool:
-        """Whether training tasks must carry the weights inline.
-
-        ``False`` on the thread and sequential rungs (replicas / the live
-        engine are refreshed from the live model) and under shm dispatch
-        (weights ride the shared parameter segment); ``True`` only for the
-        plain pickle process rung, where each task message must ship the
-        current ``state_dict``.
-        """
-        if self._sequential or self.backend == "thread":
-            return False
-        return not self.shm_active
+        return self.rung == "shm"
 
     @property
     def rung(self) -> str:
@@ -867,7 +722,7 @@ class WorkerPool:
     def health(self) -> Dict[str, Any]:
         """A structured operational report: rung, knobs, fault counters.
 
-        ``degrades`` lists every ladder step taken (e.g. ``"shm->pickle"``)
+        ``degrades`` lists every ladder step taken (e.g. ``"shm->thread"``)
         in order; ``retries`` / ``timeouts`` / ``redispatches`` /
         ``worker_crashes`` count recovered incidents, and
         ``stragglers_verified`` counts abandoned originals that finished
@@ -921,7 +776,7 @@ class WorkerPool:
         replacement), and a crashed worker gets the executor rebuilt
         against the surviving shared segments.  Only when a rung is
         *exhausted* does the pool step down the degradation ladder
-        shm -> pickle -> thread -> sequential -- permanently, loudly (one
+        shm -> thread -> sequential -- permanently, loudly (one
         :class:`~repro.errors.DegradeWarning` per step) and with the
         collector reset so partially-consumed results can never be
         double-counted.  Re-running is safe: each task's draws come from
@@ -963,8 +818,8 @@ class WorkerPool:
             collector.add(result)
         return None
 
-    def _token_for(self, engine: Any, kind: str) -> str:
-        """The staleness token for ``engine``, with the structure flavour cached.
+    def _token_for(self, engine: Any) -> str:
+        """The structure token for ``engine``, cached per engine.
 
         Engines carrying a writable embedding cache get a distinct token
         suffix: their shm executors own a third (embed) segment, so a
@@ -973,17 +828,15 @@ class WorkerPool:
         uncached engines on one pool therefore rebuilds the executor once
         per switch -- the same cost as any other structure change.
         """
-        include_state = kind != "train"
-        if not include_state and self._structure_cache is not None:
+        if self._structure_cache is not None:
             ref, token = self._structure_cache
             if ref() is engine:
                 return token
-        token = _engine_token(engine, include_state=include_state)
+        token = _engine_token(engine)
         cache = getattr(engine, "cache", None)
         if cache is not None and getattr(cache, "writable", False):
             token += "+embed"
-        if not include_state:
-            self._structure_cache = (weakref.ref(engine), token)
+        self._structure_cache = (weakref.ref(engine), token)
         return token
 
     def _fast_dispatch(self) -> bool:
@@ -1003,28 +856,20 @@ class WorkerPool:
         self, engine: Any, kind: str, tasks: List[Any], collector: Optional[Any] = None
     ) -> Optional[List[Any]]:
         # The whole dispatch holds the lock so a concurrent run() with a
-        # different payload token cannot swap the executor out from under
+        # different structure token cannot swap the executor out from under
         # this one -- concurrent callers serialise instead.
         with self._lock:
             faults.check("dispatch")
-            if self.shm_active:
-                self._ensure_shm_executor_locked(engine, kind)
-                version = self._param_version
+            self._ensure_shm_executor_locked(engine, kind)
+            version = self._param_version
 
-                def submit(task: Any, attempt: int) -> Any:
-                    return self._executor.submit(
-                        _run_remote_shm, kind, version, task, attempt
-                    )
+            def submit(task: Any, attempt: int) -> Any:
+                return self._executor.submit(
+                    _run_remote_shm, kind, version, task, attempt
+                )
 
-                mapper: Any = partial(_run_remote_shm, kind, version)
-            else:
-                self._ensure_pickle_executor_locked(engine, kind)
-
-                def submit(task: Any, attempt: int) -> Any:
-                    return self._executor.submit(_run_remote, kind, task, attempt)
-
-                mapper = partial(_run_remote, kind)
             if self._fast_dispatch():
+                mapper = partial(_run_remote_shm, kind, version)
                 return self._consume(self._executor.map(mapper, tasks), collector)
             return self._consume_futures(
                 tasks, submit, self._rebuild_process_executor_locked, collector
@@ -1040,12 +885,11 @@ class WorkerPool:
         Training always rewrites (weights change every step); generation
         rewrites only when the weight fingerprint actually moved.
         """
-        structure = self._token_for(engine, kind="train")
+        structure = self._token_for(engine)
         if self._executor is None or structure != self._token:
             self._shutdown_process_executor_locked()
             self._release_stores_locked()
-            payload = self._publish_engine_locked(engine)
-            self._start_process_executor_locked(_init_worker_shm, payload)
+            self._start_process_executor_locked(self._publish_engine_locked(engine))
             self._token = structure
             self._param_token = None if kind == "train" else _state_token(engine)
         elif kind == "train":
@@ -1058,26 +902,12 @@ class WorkerPool:
                 self._param_token = state
             self._sync_embed_locked(engine)
 
-    def _ensure_pickle_executor_locked(self, engine: Any, kind: str) -> None:
-        """Make the pickled-payload executor current; caller holds the lock."""
-        token = self._token_for(engine, kind)
-        if self._executor is None or token != self._token:
-            self._shutdown_process_executor_locked()
-            payload = payload_from_engine(engine)
-            if self.track_dispatch:
-                self.dispatch_stats["payload_bytes"] += _pickled_bytes(payload)
-                self.dispatch_stats["payload_publishes"] += 1
-            self._start_process_executor_locked(_init_worker, payload)
-            self._token = token
-
-    def _start_process_executor_locked(
-        self, initializer: Callable[..., None], payload: Any
-    ) -> None:
-        self._active_payload = (initializer, payload)
+    def _start_process_executor_locked(self, payload: WorkerHandles) -> None:
+        self._active_payload = payload
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=_process_context(),
-            initializer=initializer,
+            initializer=_init_worker_shm,
             initargs=(payload,),
         )
 
@@ -1085,7 +915,7 @@ class WorkerPool:
         """Replace a broken process executor in place; caller holds the lock.
 
         A crashed worker poisons the whole ``ProcessPoolExecutor`` but not
-        the parent-owned shared segments or the cached initializer payload,
+        the parent-owned shared segments or the cached handle payload,
         so the replacement pool re-attaches to what is already published.
         (A stale payload ``version`` only costs each fresh worker one extra
         weight reload -- task messages carry the current version.)
@@ -1100,8 +930,7 @@ class WorkerPool:
             except Exception:
                 pass
             self._executor = None
-        initializer, payload = self._active_payload
-        self._start_process_executor_locked(initializer, payload)
+        self._start_process_executor_locked(self._active_payload)
 
     def _consume_futures(
         self,
@@ -1229,7 +1058,7 @@ class WorkerPool:
                 )
             self._health["stragglers_verified"] += 1
 
-    def _publish_engine_locked(self, engine: Any) -> ShmWorkerPayload:
+    def _publish_engine_locked(self, engine: Any) -> WorkerHandles:
         """Create fresh graph/parameter(/embed) segments and the handle payload."""
         stores: Dict[str, SharedArrayStore] = {}
         try:
@@ -1247,7 +1076,7 @@ class WorkerPool:
         self._stores = stores
         self._param_version += 1
         external = engine.model.encoder._external_features
-        payload = ShmWorkerPayload(
+        payload = WorkerHandles(
             config=engine.config,
             num_nodes=engine.graph.num_nodes,
             num_timestamps=engine.graph.num_timestamps,
@@ -1307,14 +1136,14 @@ class WorkerPool:
 
         else:
             with self._lock:
-                token = self._token_for(engine, kind)
+                token = self._token_for(engine)
                 if self._replicas is None or token != self._replica_token:
                     self._replicas = _build_train_replicas(engine, self.workers)
                     self._replica_token = token
-                elif getattr(tasks[0], "state", None) is None:
-                    # Tasks without inline weights expect workers to hold the
-                    # *current* weights: refresh cached replicas from the live
-                    # model (an exact copy, so the run stays bit-identical).
+                else:
+                    # Cached replicas must hold the *current* weights: refresh
+                    # them from the live model (an exact copy, so the run
+                    # stays bit-identical).
                     state = engine.model.state_dict()
                     for replica in self._replicas:
                         replica.model.load_state_dict(state)
@@ -1378,14 +1207,10 @@ class WorkerPool:
         with self._lock:
             from_rung = self._rung_locked()
             if from_rung == "shm":
-                # Keep the process backend, drop shared-memory dispatch:
-                # segments are unlinked *and* the weight version advanced
-                # (in _release_stores_locked) so a future republish can
-                # never hand workers a version they think they already have.
-                self._shutdown_process_executor_locked()
-                self._release_stores_locked()
-                self.shm_dispatch = False
-            elif from_rung == "pickle":
+                # Abandon the process backend: segments are unlinked *and*
+                # the weight version advanced (in _release_stores_locked) so
+                # a future republish can never hand workers a version they
+                # think they already have.
                 self._shutdown_process_executor_locked()
                 self._release_stores_locked()
                 self.backend = "thread"
@@ -1412,9 +1237,7 @@ class WorkerPool:
     def _rung_locked(self) -> str:
         if self._sequential:
             return "sequential"
-        if self.backend == "thread":
-            return "thread"
-        return "shm" if self.shm_active else "pickle"
+        return "thread" if self.backend == "thread" else "shm"
 
     # ------------------------------------------------------------------
     def _release_stores_locked(self) -> None:
@@ -1501,41 +1324,6 @@ class WorkerPool:
         )
 
 
-#: Lazily-created module singletons, one per (workers, backend) combination.
-_SHARED_POOLS: Dict[Tuple[int, str], WorkerPool] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def shared_pool(workers: int, backend: str = "process") -> WorkerPool:
-    """The lazy module-level singleton pool for a (workers, backend) config.
-
-    Callers that cannot own a pool's lifetime (one-line scripts, notebook
-    cells) can still amortise startup across calls; the singletons are shut
-    down at interpreter exit.
-    """
-    key = (workers, backend)
-    with _SHARED_LOCK:
-        pool = _SHARED_POOLS.get(key)
-        if pool is None or pool.closed:
-            pool = WorkerPool(workers, backend)
-            _SHARED_POOLS[key] = pool
-        return pool
-
-
-def close_shared_pools() -> None:
-    """Shut down every module-level singleton pool (idempotent)."""
-    with _SHARED_LOCK:
-        for pool in _SHARED_POOLS.values():
-            try:
-                pool.close()
-            except Exception:
-                pass
-        _SHARED_POOLS.clear()
-
-
-atexit.register(close_shared_pools)
-
-
 def run_sharded(
     engine: Any,
     kind: str,
@@ -1547,14 +1335,14 @@ def run_sharded(
     """Run chunk ``tasks`` on ``workers`` workers; results in task order.
 
     ``workers=1`` (or a single task) short-circuits to a plain loop over
-    the live engine -- no pool, no payload copy, today's sequential path.
-    When ``pool`` is given (and open), dispatch goes through that
-    persistent :class:`WorkerPool` -- its worker count, backend and
-    shared-memory dispatch mode govern -- instead of building a throwaway
-    executor.  The process backend degrades to threads when the platform
-    cannot build a process pool (missing semaphores, unpicklable payload);
-    the result is bit-identical either way because every task carries its
-    own spawned seed-sequence child.
+    the live engine -- no pool, no segments, the sequential path.  When
+    ``pool`` is given (and open), dispatch goes through that persistent
+    :class:`WorkerPool` -- its worker count and backend govern.  Otherwise
+    the call runs on one throwaway :class:`WorkerPool` built with the
+    engine config's ``max_shard_retries`` and ``shard_timeout``, so a
+    one-off call gets the same in-rung retries and degradation ladder as a
+    persistent pool.  The result is bit-identical on every path because
+    every task carries its own spawned seed-sequence child.
     """
     if backend not in BACKENDS:
         raise ConfigError(
@@ -1567,20 +1355,11 @@ def run_sharded(
         return pool.run(engine, kind, tasks)
     if workers == 1 or len(tasks) <= 1:
         return [_run_on(engine, kind, task) for task in tasks]
-    if backend == "thread":
-        return _run_threads(engine, kind, tasks, workers)
-    try:
-        return _run_processes(engine, kind, tasks, workers)
-    except _POOL_FAILURES as exc:
-        # Pool-infrastructure failures (no POSIX semaphores, forbidden
-        # fork, crashed/OOM-killed worker, unpicklable payload).  Domain
-        # errors (GenerationError/ConfigError) propagate untouched.  The
-        # retry is loud so a dying process backend cannot hide behind a
-        # silently slower thread run.
-        warnings.warn(
-            f"process-pool backend failed ({type(exc).__name__}: {exc}); "
-            "retrying on the thread backend",
-            DegradeWarning,
-            stacklevel=2,
-        )
-        return _run_threads(engine, kind, tasks, workers)
+    config = engine.config
+    with WorkerPool(
+        min(workers, len(tasks)),
+        backend,
+        max_shard_retries=config.max_shard_retries,
+        shard_timeout=config.shard_timeout,
+    ) as throwaway:
+        return throwaway.run(engine, kind, tasks)

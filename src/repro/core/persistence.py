@@ -170,12 +170,13 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
         known_keys = {f.name for f in dataclasses.fields(TGAEConfig)}
         unknown_keys = sorted(set(cfg_dict) - known_keys)
         if unknown_keys:
-            # Forward compatibility: a newer writer may have added config
-            # fields this version does not know.  Dropping them (loudly) is
-            # strictly better than refusing to load the weights.
+            # A newer writer may have added config fields this version does
+            # not know, or an older one may have kept a since-retired field.
+            # Dropping them (loudly) is strictly better than refusing to
+            # load the weights.
             warnings.warn(
                 f"checkpoint {path!s} carries unknown config keys "
-                f"{unknown_keys} (written by a newer version?); ignoring them",
+                f"{unknown_keys} (written by another version?); ignoring them",
                 RuntimeWarning,
                 stacklevel=2,
             )

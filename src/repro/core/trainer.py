@@ -123,12 +123,9 @@ class TrainShardTask:
     a spawned seed-sequence child, never live graph or model objects.  The
     global loss normalisers (``recon_scale = 1/active_total``,
     ``kl_scale = 1/batch_rows``) ride along so shard losses and gradients
-    are additive; ``state`` carries the current weights only when the pool
-    reports :attr:`~repro.core.parallel.WorkerPool.needs_inline_state`
-    (plain pickled process dispatch).  It stays ``None`` on the in-process
-    sequential path (the live model already has the weights), on the thread
-    backend (replicas are refreshed from the live model) and under
-    shared-memory dispatch (workers reload from the parameter segment).
+    are additive.  Weights never ride in a task: the in-process sequential
+    path uses the live model, thread-backend replicas are refreshed from
+    it, and worker processes reload from the shared parameter segment.
     """
 
     index: int
@@ -137,7 +134,6 @@ class TrainShardTask:
     recon_scale: float
     kl_scale: float
     seed_seq: np.random.SeedSequence
-    state: Optional[Dict[str, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -156,15 +152,12 @@ def run_train_shard(engine, task: TrainShardTask) -> TrainShardResult:
     in a worker process against a rebuilt engine -- identically in all
     three: ego sampling, candidate negatives and reparameterisation noise
     all come from the task's spawned seed-sequence child, and the weights
-    are either the live model's (sequential), the bit-equal copy shipped in
-    ``task.state``, or -- under shared-memory dispatch, where ``state`` is
-    ``None`` -- the bit-equal copy the worker loaded from the version-stamped
-    parameter segment.
+    are either the live model's (sequential), the replica's bit-equal copy
+    of them (threads), or the bit-equal copy the worker loaded from the
+    version-stamped parameter segment (processes).
     """
     model: TGAEModel = engine.model
     config: TGAEConfig = engine.config
-    if task.state is not None:
-        model.load_state_dict(task.state)
     rng = np.random.default_rng(task.seed_seq)
     sampler = EgoGraphSampler(engine.graph, config, rng)
     batch = sampler.batch_for_centers(task.centers, target_rows=list(task.target_rows))
@@ -355,7 +348,6 @@ def train_tgae(
         pool = WorkerPool(
             workers,
             backend,
-            shm_dispatch=config.shm_dispatch,
             max_shard_retries=config.max_shard_retries,
             shard_timeout=config.shard_timeout,
         )
@@ -408,12 +400,6 @@ def train_tgae(
                 and pool.workers > 1
                 and len(starts) > 1
             )
-            # Weights ride inline in the task messages only when the pool
-            # has no cheaper channel: under shared-memory dispatch they live
-            # in the parameter segment, and thread-backend replicas are
-            # refreshed from the live model.
-            inline_state = pooled and pool.needs_inline_state
-            state = model.state_dict() if inline_state else None
             tasks = [
                 TrainShardTask(
                     index=i,
@@ -422,7 +408,6 @@ def train_tgae(
                     recon_scale=recon_scale,
                     kl_scale=kl_scale,
                     seed_seq=children[i],
-                    state=state,
                 )
                 for i, start in enumerate(starts)
             ]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import GenerationEngine, TGAEGenerator, fast_config
-from repro.core.parallel import payload_from_engine, run_sharded
+from repro.core.parallel import run_sharded
 from repro.datasets import communication_network
 from repro.errors import ConfigError
 from repro.rng import seed_sequence, spawn_streams, stream
@@ -138,32 +138,6 @@ class TestChunkingGuards:
         )
         src, dst, t = engine.generate_chunk(task)
         assert src.size == dst.size == t.size == 0
-
-
-class TestWorkerPayload:
-    """Workers receive plain arrays and rebuild a bit-equal engine."""
-
-    def test_payload_is_plain_data(self, streaming_fitted):
-        payload = payload_from_engine(streaming_fitted.engine())
-        assert isinstance(payload.state, dict)
-        for value in payload.state.values():
-            assert isinstance(value, np.ndarray)
-        for field in (payload.src, payload.dst, payload.t):
-            assert isinstance(field, np.ndarray)
-
-    def test_rebuilt_engine_matches_live_engine(self, streaming_fitted):
-        import repro.core.parallel as parallel_mod
-
-        engine = streaming_fitted.engine()
-        payload = payload_from_engine(engine)
-        try:
-            parallel_mod._init_worker(payload)
-            rebuilt = parallel_mod._WORKER_ENGINE
-            a = engine.generate(np.random.default_rng(7), workers=1)
-            b = rebuilt.generate(np.random.default_rng(7), workers=1)
-            assert fingerprint(a) == fingerprint(b)
-        finally:
-            parallel_mod._WORKER_ENGINE = None
 
 
 class TestRngRegistry:

@@ -206,11 +206,16 @@ class TestFormatCompatibility:
         meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode("utf-8"))
         meta["config"]["frobnication_level"] = 11
         meta["config"]["quantum_mode"] = "maximal"
+        # A retired field: every archive written while TGAEConfig still had
+        # the shm_dispatch knob carries it.
+        meta["config"]["shm_dispatch"] = True
         arrays["__meta__"] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )
         np.savez_compressed(future, **arrays)
-        with pytest.warns(RuntimeWarning, match=r"frobnication_level.*quantum_mode"):
+        with pytest.warns(
+            RuntimeWarning, match=r"frobnication_level.*quantum_mode.*shm_dispatch"
+        ):
             restored = load_generator(future)
         assert restored.config == gen.config
         assert restored.generate(seed=3) == gen.generate(seed=3)
@@ -291,7 +296,7 @@ class TestUpdate:
     def test_shm_structure_republished_exactly_once(self, observed):
         config = make_config(2)
         gen = TGAEGenerator(config).fit(observed)
-        pool = WorkerPool(2, backend="process", shm_dispatch=True, track_dispatch=True)
+        pool = WorkerPool(2, backend="process", track_dispatch=True)
         with pool:
             engine = gen.engine()
             before_a = engine.generate(np.random.default_rng(1), pool=pool)

@@ -362,6 +362,34 @@ class TestShardRetry:
         finally:
             pool.close()
 
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_poolless_inference_retries_in_rung(self, observed, backend):
+        # generate/score_topk(workers=N) with no pool open run on a
+        # throwaway WorkerPool that honours the config's retry budget: one
+        # transient shard error is retried in place, never a degrade.
+        if backend == "process":
+            _require_shm()
+        fitted = TGAEGenerator(
+            _nemesis_config(parallel_backend=backend)
+        ).fit(observed)
+        assert fitted._active_pool() is None
+        baseline_graph = fitted.generate(seed=4, workers=1)
+        baseline_topk = fitted.score_topk(3, workers=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradeWarning)
+            with faults.inject("shard", exc=OSError, index=1, attempt=0) as rule:
+                graph = fitted.generate(seed=4, workers=2)
+                # Process workers fire their forked copy of the rule.
+                assert rule.fired >= (1 if backend == "thread" else 0)
+            with faults.inject("shard", exc=OSError, index=1, attempt=0) as rule:
+                topk = fitted.score_topk(3, workers=2)
+                assert rule.fired >= (1 if backend == "thread" else 0)
+        assert graph == baseline_graph
+        for field in ("node", "timestamp", "target", "score"):
+            assert np.array_equal(
+                getattr(topk, field), getattr(baseline_topk, field)
+            ), field
+
     def test_pickling_failure_retried(self, observed):
         config = _nemesis_config()
         baseline = _train(observed, config)
@@ -395,7 +423,7 @@ class TestShardRetry:
         self, observed
     ):
         # A shard that fails on *every* rung exhausts the whole ladder:
-        # three DegradeWarnings, then a typed PoolError -- never a hang,
+        # two DegradeWarnings, then a typed PoolError -- never a hang,
         # never a silent wrong answer -- with every segment reaped.
         _require_shm()
         config = _nemesis_config()
@@ -405,9 +433,7 @@ class TestShardRetry:
                 with pytest.warns(DegradeWarning):
                     with pytest.raises(PoolError):
                         _train(observed, config, pool=pool, workers=2)
-            assert pool.health["degrades"] == [
-                "shm->pickle", "pickle->thread", "thread->sequential",
-            ]
+            assert pool.health["degrades"] == ["shm->thread", "thread->sequential"]
             assert pool.rung == "sequential"
             assert pool.shm_segments() == ()
         finally:
@@ -485,9 +511,7 @@ class TestWorkerCrashRecovery:
                 with pytest.warns(DegradeWarning):
                     with pytest.raises(PoolError):
                         _train(observed, config, pool=pool, workers=2)
-            assert pool.health["degrades"] == [
-                "shm->pickle", "pickle->thread", "thread->sequential",
-            ]
+            assert pool.health["degrades"] == ["shm->thread", "thread->sequential"]
             assert pool.health["worker_crashes"] >= 2
             assert pool.shm_segments() == ()
         finally:
@@ -521,7 +545,7 @@ class TestStragglerRedispatch:
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
     def test_ladder_constant_is_ordered(self):
-        assert LADDER == ("shm", "pickle", "thread", "sequential")
+        assert LADDER == ("shm", "thread", "sequential")
 
     def test_full_ladder_walk_stays_bit_identical(self, observed):
         _require_shm()
@@ -529,35 +553,36 @@ class TestDegradationLadder:
         baseline = _train(observed, config)
         pool = WorkerPool(2, backend="process")
         try:
-            with faults.inject("dispatch", exc=OSError, times=3):
+            with faults.inject("dispatch", exc=OSError, times=2):
                 with pytest.warns(DegradeWarning) as caught:
                     run = _train(observed, config, pool=pool, workers=2)
             _assert_same_run(run, baseline)
-            assert pool.health["degrades"] == [
-                "shm->pickle", "pickle->thread", "thread->sequential",
-            ]
+            assert pool.health["degrades"] == ["shm->thread", "thread->sequential"]
             assert pool.rung == "sequential"
             degrade_messages = [
                 str(w.message) for w in caught
                 if isinstance(w.message, DegradeWarning)
             ]
-            assert len(degrade_messages) == 3
+            assert len(degrade_messages) == 2
             assert all("degrading" in m for m in degrade_messages)
             assert pool.shm_segments() == ()
         finally:
             pool.close()
 
-    def test_shm_allocation_failure_degrades_to_pickle(self, observed):
+    def test_shm_allocation_failure_degrades_to_thread(self, observed):
+        # A host that cannot create a segment loses the process backend
+        # loudly on the first dispatch -- there is no silent fallback.
         _require_shm()
         config = _nemesis_config()
         baseline = _train(observed, config)
         pool = WorkerPool(2, backend="process")
         try:
             with faults.inject("shm-create", exc=OSError, times=1):
-                with pytest.warns(DegradeWarning, match="shm->pickle"):
+                with pytest.warns(DegradeWarning, match="shm->thread"):
                     run = _train(observed, config, pool=pool, workers=2)
             _assert_same_run(run, baseline)
-            assert pool.health["degrades"] == ["shm->pickle"]
+            assert pool.health["degrades"] == ["shm->thread"]
+            assert pool.rung == "thread"
             assert pool.shm_segments() == ()
         finally:
             pool.close()
